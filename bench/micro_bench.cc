@@ -10,6 +10,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/pipeline.h"
 #include "src/crypto/aes.h"
+#include "src/crypto/dispatch.h"
 #include "src/crypto/sha256.h"
 #include "src/hw/phys_mem.h"
 #include "src/llm/tensor.h"
@@ -31,6 +32,7 @@ void BM_AesCtr(benchmark::State& state) {
     benchmark::DoNotOptimize(buf.data());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(ActiveCrypto()->aes_isa);
 }
 BENCHMARK(BM_AesCtr)->Arg(4096)->Arg(64 * 1024)->Arg(1024 * 1024);
 
@@ -41,6 +43,7 @@ void BM_Sha256(benchmark::State& state) {
     benchmark::DoNotOptimize(Sha256::Hash(buf.data(), buf.size()));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(ActiveCrypto()->sha256_isa);
 }
 BENCHMARK(BM_Sha256)->Arg(4096)->Arg(64 * 1024)->Arg(1024 * 1024);
 

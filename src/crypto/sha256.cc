@@ -1,7 +1,8 @@
 #include "src/crypto/sha256.h"
 
-#include <algorithm>
 #include <cstring>
+
+#include "src/crypto/dispatch.h"
 
 namespace tzllm {
 
@@ -10,21 +11,6 @@ namespace {
 constexpr uint32_t kInit[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
                                0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
-constexpr uint32_t kRound[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-
-inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
-
 }  // namespace
 
 Sha256::Sha256() {
@@ -32,92 +18,55 @@ Sha256::Sha256() {
   buffer_.fill(0);
 }
 
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const uint32_t s0 =
-        Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const uint32_t s1 =
-        Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const uint32_t ch = (e & f) ^ (~e & g);
-    const uint32_t temp1 = h + s1 + ch + kRound[i] + w[i];
-    const uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+void Sha256::Compress(const uint8_t* blocks, size_t nblocks) {
+  ActiveCrypto()->sha256_compress(state_.data(), blocks, nblocks);
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
+  if (len == 0) {
+    return;
+  }
   total_len_ += len;
-  size_t i = 0;
   if (buffer_len_ > 0) {
-    const size_t n = std::min(len, 64 - buffer_len_);
+    const size_t n = len < 64 - buffer_len_ ? len : 64 - buffer_len_;
     std::memcpy(buffer_.data() + buffer_len_, data, n);
     buffer_len_ += n;
-    i = n;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_.data());
-      buffer_len_ = 0;
+    data += n;
+    len -= n;
+    if (buffer_len_ < 64) {
+      return;
     }
+    Compress(buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (i + 64 <= len) {
-    ProcessBlock(data + i);
-    i += 64;
+  const size_t full = len / 64;
+  if (full > 0) {
+    Compress(data, full);
+    data += full * 64;
+    len -= full * 64;
   }
-  if (i < len) {
-    std::memcpy(buffer_.data(), data + i, len - i);
-    buffer_len_ = len - i;
+  if (len > 0) {
+    std::memcpy(buffer_.data(), data, len);
+    buffer_len_ = len;
   }
 }
 
 Sha256Digest Sha256::Finalize() {
   const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad = 0x80;
-  Update(&pad, 1);
-  const uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    Compress(buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  uint8_t len_be[8];
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  std::memcpy(buffer_.data() + 56, len_be, 8);
-  ProcessBlock(buffer_.data());
+  Compress(buffer_.data(), 1);
 
   Sha256Digest digest;
-  for (int i = 0; i < 8; ++i) {
+  for (size_t i = 0; i < 8; ++i) {
     digest[i * 4] = static_cast<uint8_t>(state_[i] >> 24);
     digest[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
     digest[i * 4 + 2] = static_cast<uint8_t>(state_[i] >> 8);
@@ -134,6 +83,46 @@ Sha256Digest Sha256::Hash(const uint8_t* data, size_t len) {
 
 Sha256Digest Sha256::Hash(const std::string& s) {
   return Hash(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+}
+
+HmacSha256::HmacSha256(const uint8_t* key, size_t key_len) {
+  uint8_t block[64] = {};
+  if (key_len > sizeof(block)) {
+    const Sha256Digest hashed = Sha256::Hash(key, key_len);
+    std::memcpy(block, hashed.data(), hashed.size());
+  } else {
+    std::memcpy(block, key, key_len);
+  }
+  uint8_t pad[64];
+  for (size_t i = 0; i < sizeof(pad); ++i) {
+    pad[i] = static_cast<uint8_t>(block[i] ^ 0x36);
+  }
+  inner_.Update(pad, sizeof(pad));
+  for (size_t i = 0; i < sizeof(pad); ++i) {
+    pad[i] = static_cast<uint8_t>(block[i] ^ 0x5c);
+  }
+  outer_.Update(pad, sizeof(pad));
+}
+
+Sha256Digest HmacSha256::Finalize() {
+  const Sha256Digest inner = inner_.Finalize();
+  outer_.Update(inner.data(), inner.size());
+  return outer_.Finalize();
+}
+
+Sha256Digest HmacSha256::Mac(const uint8_t* key, size_t key_len,
+                             const uint8_t* data, size_t len) {
+  HmacSha256 h(key, key_len);
+  h.Update(data, len);
+  return h.Finalize();
+}
+
+bool DigestsEqualConstantTime(const Sha256Digest& a, const Sha256Digest& b) {
+  uint8_t diff = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    diff = static_cast<uint8_t>(diff | (a[i] ^ b[i]));
+  }
+  return diff == 0;
 }
 
 std::string DigestToHex(const Sha256Digest& digest) {

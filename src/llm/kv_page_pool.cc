@@ -2,29 +2,22 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string>
-
-#include "src/crypto/key_hierarchy.h"
-#include "src/crypto/sha256.h"
 
 namespace tzllm {
 
 namespace {
 
 // Spill blob layout (all little-endian, the checkpoint idiom):
-//   magic | u32 page_id | u64 spill_seq | sha256(plaintext) | ciphertext.
-// The hash is over the plaintext page, so any bit flipped in the REE blob
-// decrypts to a page whose digest no longer matches — kDataCorruption, the
-// same contract the PR 6 session checkpoints enforce.
-constexpr char kSpillMagic[8] = {'T', 'Z', 'K', 'V', 'P', 'G', '0', '1'};
-constexpr size_t kSpillHeader = sizeof(kSpillMagic) + 4 + 8 + 32;
-
-AesBlock SpillIv(KvPageId id, uint64_t seq) {
-  // Fresh IV per (page, spill generation): CTR keystream never repeats even
-  // when the same page spills repeatedly under one key.
-  return KeyHierarchy::ModelIv("kv-page/" + std::to_string(id) + "/" +
-                               std::to_string(seq));
-}
+//   magic | u32 page_id | u64 spill_seq | tag (32) | ciphertext.
+// Sealer (src/crypto/seal.h) authenticates the first 20 bytes with the page:
+// any bit flipped in the REE blob, or a blob relabeled or substituted for
+// another page, fails restore with kDataCorruption — the same contract the
+// session checkpoints enforce. The CTR IV is derived from the tag, so a
+// spill sequence that restarts after a TA crash never reuses a keystream
+// on different page contents.
+constexpr char kSpillMagic[8] = {'T', 'Z', 'K', 'V', 'P', 'G', '0', '2'};
+constexpr size_t kSpillLabels = sizeof(kSpillMagic) + 4 + 8;
+constexpr size_t kSpillHeader = kSpillLabels + 32;
 
 }  // namespace
 
@@ -49,7 +42,7 @@ KvPagePool::KvPagePool(const ModelSpec& spec, KvStorage storage,
       page_positions_(std::max(1, opts.page_positions)),
       storage_(storage),
       spill_(opts.spill),
-      spill_key_(opts.spill_key) {
+      spill_sealer_(opts.spill_key) {
   v_plane_ = static_cast<size_t>(n_layers_) * page_positions_ * kv_dim_;
   page_elems_ = v_plane_ * kKvVectorsPerPosition;
   page_bytes_ = PageBytes(spec, storage_, page_positions_);
@@ -121,13 +114,14 @@ Status KvPagePool::SpillPage(KvPageId id) {
   for (int i = 0; i < 8; ++i) {
     blob.push_back(static_cast<uint8_t>(p.spill_seq >> (8 * i)));
   }
+  const size_t ct_off = kSpillHeader;
   const uint8_t* plain = FrameBytes(p.frame);
-  const Sha256Digest digest = Sha256::Hash(plain, page_bytes_);
-  blob.insert(blob.end(), digest.begin(), digest.end());
-  const size_t ct_off = blob.size();
+  blob.resize(ct_off);  // The tag slot, filled once the tag is known.
   blob.insert(blob.end(), plain, plain + page_bytes_);
-  AesCtr ctr(spill_key_, SpillIv(id, p.spill_seq));
-  ctr.CryptAll(blob.data() + ct_off, page_bytes_);
+  const Sha256Digest tag =
+      spill_sealer_.Seal(blob.data(), kSpillLabels, blob.data() + ct_off,
+                         blob.data() + ct_off, page_bytes_);
+  std::memcpy(blob.data() + kSpillLabels, tag.data(), tag.size());
   if (spill_fault_armed_) {
     const uint64_t ordinal = stats_.spills + 1;  // 1-based, like NpuFaultPlan.
     if (ordinal >= spill_fault_first_ &&
@@ -137,7 +131,7 @@ Status KvPagePool::SpillPage(KvPageId id) {
         // fails the size/magic check.
         blob.resize(kSpillHeader / 2);
       } else {
-        // One ciphertext byte flipped: decrypts fine, digest mismatches.
+        // One ciphertext byte flipped: decrypts fine, tag mismatches.
         blob[ct_off + page_bytes_ / 2] ^= 0x5a;
       }
       ++stats_.spill_faults_injected;
@@ -179,21 +173,20 @@ Status KvPagePool::RestorePage(KvPageId id) {
   off += 8;
   if (blob_id != id || seq != p.spill_seq) {
     // A stale or foreign blob substituted in REE memory (replay of an older
-    // spill generation included) decrypts under the wrong IV anyway; fail
-    // on the labels first for a clear diagnosis.
+    // spill generation included): its tag is valid only for its own labels,
+    // so this check is what rejects the replay.
     return Status(ErrorCode::kDataCorruption,
                   "spilled KV page blob labels do not match the page");
   }
-  Sha256Digest stored;
-  std::memcpy(stored.data(), blob.data() + off, 32);
-  off += 32;
+  Sha256Digest tag;
+  std::memcpy(tag.data(), blob.data() + off, tag.size());
+  off += tag.size();
 
   TZLLM_ASSIGN_OR_RETURN(frame, TakeFrame());
-  uint8_t* dst = FrameBytes(frame);
-  std::memcpy(dst, blob.data() + off, page_bytes_);
-  AesCtr ctr(spill_key_, SpillIv(id, p.spill_seq));
-  ctr.CryptAll(dst, page_bytes_);
-  if (Sha256::Hash(dst, page_bytes_) != stored) {
+  if (!spill_sealer_
+           .Open(blob.data(), kSpillLabels, tag, blob.data() + off,
+                 FrameBytes(frame), page_bytes_)
+           .ok()) {
     ScrubFrame(frame);
     free_frames_.push_back(frame);
     return Status(ErrorCode::kDataCorruption,

@@ -11,10 +11,13 @@
 // The pool owns a fixed number of resident frames in secure scratch (sized
 // to the old slots x ArenaBytes budget by the TA). When every frame is in
 // use, allocation and restore evict the least-recently-touched unpinned
-// page to REE memory, encrypted and integrity-tagged under the session
-// spill key (AES-128-CTR + SHA-256, the PR 6 checkpoint idiom): REE memory
-// is attacker-controlled, so a tampered spilled page fails restore with
-// kDataCorruption, never with silently wrong KV. Pinned pages (a decode
+// page to REE memory, sealed under the spill key (src/crypto/seal.h: keyed
+// HMAC-SHA256 tag over the page id, spill sequence and plaintext, AES-128-CTR
+// under an IV derived from that tag): REE memory is attacker-controlled, so
+// a tampered or substituted spilled page fails restore with
+// kDataCorruption, never with silently wrong KV, and no two distinct pages
+// are ever encrypted under one keystream — not even across a TA restart,
+// where the spill sequence starts over. Pinned pages (a decode
 // step in flight) are never evicted. Recency is a monotonic counter, not a
 // clock — eviction order is deterministic and replayable.
 //
@@ -31,6 +34,7 @@
 
 #include "src/common/status.h"
 #include "src/crypto/aes.h"
+#include "src/crypto/seal.h"
 #include "src/llm/model_spec.h"
 
 namespace tzllm {
@@ -226,7 +230,7 @@ class KvPagePool {
   int page_positions_;
   KvStorage storage_;
   bool spill_;
-  AesKey128 spill_key_;
+  Sealer spill_sealer_;
   size_t v_plane_ = 0;       // Element offset of the V plane within a page.
   size_t page_elems_ = 0;    // Elements per page (K+V, all layers).
   uint64_t page_bytes_ = 0;

@@ -2,12 +2,30 @@
 
 #include <cstring>
 
-#include "src/crypto/key_hierarchy.h"
+#include "src/crypto/seal.h"
 
 namespace tzllm {
 
 namespace {
-constexpr char kMagic[8] = {'T', 'Z', 'C', 'K', 'P', 'T', '0', '1'};
+
+// Layout: magic | u64le payload_len | tag (32) | ciphertext. The tag is the
+// Sealer's HMAC over (magic | payload_len | checkpoint id | plaintext), so
+// a blob moved to another id, or any altered byte, fails to open.
+constexpr char kMagic[8] = {'T', 'Z', 'C', 'K', 'P', 'T', '0', '2'};
+constexpr size_t kLenBytes = 8;
+constexpr size_t kTagBytes = 32;
+constexpr size_t kHeaderBytes = sizeof(kMagic) + kLenBytes + kTagBytes;
+
+// The authenticated header: the stored magic and length, then the id.
+std::vector<uint8_t> AuthHeader(const uint8_t* magic_and_len,
+                                const std::string& model_id) {
+  constexpr size_t kStored = sizeof(kMagic) + kLenBytes;
+  std::vector<uint8_t> h(kStored + model_id.size());
+  std::memcpy(h.data(), magic_and_len, kStored);
+  std::memcpy(h.data() + kStored, model_id.data(), model_id.size());
+  return h;
+}
+
 }  // namespace
 
 CheckpointService::CheckpointService(FlashDevice* flash) : flash_(flash) {}
@@ -15,21 +33,18 @@ CheckpointService::CheckpointService(FlashDevice* flash) : flash_(flash) {}
 Result<uint64_t> CheckpointService::Save(const std::string& model_id,
                                          const AesKey128& key,
                                          const std::vector<uint8_t>& state) {
-  // Layout: magic | u64 payload_len | sha256(plaintext) | encrypted payload.
-  std::vector<uint8_t> blob;
-  blob.reserve(sizeof(kMagic) + 8 + 32 + state.size());
-  blob.insert(blob.end(), kMagic, kMagic + sizeof(kMagic));
+  std::vector<uint8_t> blob(kHeaderBytes + state.size());
+  std::memcpy(blob.data(), kMagic, sizeof(kMagic));
   const uint64_t len = state.size();
-  for (int i = 0; i < 8; ++i) {
-    blob.push_back(static_cast<uint8_t>(len >> (8 * i)));
+  for (size_t i = 0; i < kLenBytes; ++i) {
+    blob[sizeof(kMagic) + i] = static_cast<uint8_t>(len >> (8 * i));
   }
-  const Sha256Digest digest = Sha256::Hash(state.data(), state.size());
-  blob.insert(blob.end(), digest.begin(), digest.end());
-
-  std::vector<uint8_t> payload = state;
-  AesCtr ctr(key, KeyHierarchy::ModelIv("ckpt/" + model_id));
-  ctr.CryptAll(payload.data(), payload.size());
-  blob.insert(blob.end(), payload.begin(), payload.end());
+  const std::vector<uint8_t> header = AuthHeader(blob.data(), model_id);
+  const Sha256Digest tag =
+      Sealer(key).Seal(header.data(), header.size(), state.data(),
+                       blob.data() + kHeaderBytes, state.size());
+  std::memcpy(blob.data() + sizeof(kMagic) + kLenBytes, tag.data(),
+              kTagBytes);
 
   const uint64_t total = blob.size();
   TZLLM_RETURN_IF_ERROR(flash_->CreateFile(FileName(model_id), std::move(blob)));
@@ -43,7 +58,7 @@ Result<std::vector<uint8_t>> CheckpointService::Restore(
   if (!size.ok()) {
     return size.status();
   }
-  if (*size < sizeof(kMagic) + 8 + 32) {
+  if (*size < kHeaderBytes) {
     return Status(ErrorCode::kDataCorruption, "checkpoint truncated");
   }
   std::vector<uint8_t> blob(*size);
@@ -53,21 +68,21 @@ Result<std::vector<uint8_t>> CheckpointService::Restore(
     return Status(ErrorCode::kDataCorruption, "checkpoint magic mismatch");
   }
   uint64_t len = 0;
-  for (int i = 7; i >= 0; --i) {
-    len = (len << 8) | blob[sizeof(kMagic) + i];
+  for (size_t i = 0; i < kLenBytes; ++i) {
+    len |= static_cast<uint64_t>(blob[sizeof(kMagic) + i]) << (8 * i);
   }
-  if (sizeof(kMagic) + 8 + 32 + len != *size) {
+  if (len != *size - kHeaderBytes) {
     return Status(ErrorCode::kDataCorruption, "checkpoint length mismatch");
   }
-  Sha256Digest stored;
-  std::memcpy(stored.data(), blob.data() + sizeof(kMagic) + 8, 32);
+  Sha256Digest tag;
+  std::memcpy(tag.data(), blob.data() + sizeof(kMagic) + kLenBytes, kTagBytes);
 
-  std::vector<uint8_t> payload(blob.begin() + sizeof(kMagic) + 8 + 32,
-                               blob.end());
-  AesCtr ctr(key, KeyHierarchy::ModelIv("ckpt/" + model_id));
-  ctr.CryptAll(payload.data(), payload.size());
-
-  if (Sha256::Hash(payload.data(), payload.size()) != stored) {
+  std::vector<uint8_t> payload(blob.begin() + kHeaderBytes, blob.end());
+  const std::vector<uint8_t> header = AuthHeader(blob.data(), model_id);
+  const Status opened = Sealer(key).Open(header.data(), header.size(), tag,
+                                         payload.data(), payload.data(),
+                                         payload.size());
+  if (!opened.ok()) {
     return Status(ErrorCode::kDataCorruption,
                   "checkpoint integrity check failed");
   }

@@ -3,8 +3,11 @@
 // encrypted under the model key, and stored in flash; every later inference
 // restores the state instead of re-initializing.
 //
-// The blob is integrity-tagged: a tampered checkpoint (untrusted flash) is
-// detected on restore and falls back to full initialization.
+// The blob is sealed with src/crypto/seal.h (keyed HMAC tag, synthetic CTR
+// IV) and bound to its checkpoint id: resealing a changed state under the
+// same id never reuses a keystream, and a tampered or relocated checkpoint
+// (untrusted flash) is detected on restore and falls back to full
+// initialization.
 
 #ifndef SRC_TEE_CHECKPOINT_H_
 #define SRC_TEE_CHECKPOINT_H_
@@ -16,7 +19,6 @@
 #include "src/common/calibration.h"
 #include "src/common/status.h"
 #include "src/crypto/aes.h"
-#include "src/crypto/sha256.h"
 #include "src/hw/flash.h"
 
 namespace tzllm {

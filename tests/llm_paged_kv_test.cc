@@ -201,6 +201,44 @@ TEST_F(PagedKvTest, TamperedSpillBlobFailsClosed) {
   EXPECT_EQ(pool.EnsureResident(*b).code(), ErrorCode::kDataCorruption);
 }
 
+// A fresh pool (a TA restarted after a crash) restarts its spill sequence
+// at 1 under the same spill key, so page 0's first spill carries the same
+// (page id, spill_seq) labels in both boots. The REE may keep the old
+// boot's blob; the two blobs must still not share a keystream, or the XOR
+// of the ciphertexts would hand the REE the XOR of the two pages.
+TEST_F(PagedKvTest, RestartedPoolNeverReusesKeystream) {
+  std::vector<std::vector<uint8_t>> blobs;
+  std::vector<std::vector<uint8_t>> plains;
+  for (uint16_t fill : {uint16_t{0x1111}, uint16_t{0x2222}}) {
+    KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(1));
+    auto a = pool.Alloc(false);
+    ASSERT_TRUE(a.ok());
+    ASSERT_EQ(*a, 0u);
+    uint16_t* d = pool.Data16(*a);
+    const size_t elems = pool.page_bytes() / sizeof(uint16_t);
+    std::fill(d, d + elems, fill);
+    const uint8_t* bytes = reinterpret_cast<const uint8_t*>(d);
+    plains.emplace_back(bytes, bytes + pool.page_bytes());
+    ASSERT_TRUE(pool.Alloc(false).ok());  // Evicts page 0: spill_seq 1.
+    ASSERT_FALSE(pool.resident(*a));
+    const uint8_t* blob = pool.ree_blob_data(*a);
+    blobs.emplace_back(blob, blob + pool.ree_blob_size(*a));
+    EXPECT_EQ(0, std::memcmp(blob, "TZKVPG02", 8));
+  }
+  ASSERT_EQ(blobs[0].size(), blobs[1].size());
+  // Same labels in both boots: magic, page id 0, spill_seq 1.
+  EXPECT_EQ(0, std::memcmp(blobs[0].data(), blobs[1].data(), 20));
+  const size_t ct = blobs[0].size() - plains[0].size();
+  size_t same_xor = 0;
+  for (size_t i = 0; i < plains[0].size(); ++i) {
+    const uint8_t c = blobs[0][ct + i] ^ blobs[1][ct + i];
+    const uint8_t p = plains[0][i] ^ plains[1][i];
+    same_xor += c == p ? 1 : 0;
+  }
+  // Independent keystreams agree on about 1/256 of the bytes.
+  EXPECT_LT(same_xor, plains[0].size() / 64);
+}
+
 TEST_F(PagedKvTest, PinnedPagesAreNeverEvicted) {
   KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(1));
   auto a = pool.Alloc(/*pinned=*/true);
