@@ -13,6 +13,7 @@
 #include "src/crypto/dispatch.h"
 #include "src/crypto/sha256.h"
 #include "src/hw/phys_mem.h"
+#include "src/llm/simd/kernels.h"
 #include "src/llm/tensor.h"
 #include "src/llm/tokenizer.h"
 #include "src/ree/buddy.h"
@@ -102,20 +103,34 @@ BENCHMARK(BM_MatVecQ8Threaded)
     ->Args({512, 4});
 
 void BM_MatMatQ8(benchmark::State& state) {
-  // Batched-prefill shape: dim x dim weights against m positions.
-  const uint64_t dim = state.range(0);
-  const uint64_t m = state.range(1);
-  Tensor w = MakeRandomTensor("w", DType::kQ8_0, dim, dim, 3);
-  std::vector<float> x(m * dim, 0.1f), y(m * dim, 0.0f);
-  Q8Acts acts;
-  acts.QuantizeRows(x.data(), m, dim);
-  for (auto _ : state) {
-    MatMatQ8(w.data.data(), dim, dim, acts, y.data());
-    benchmark::DoNotOptimize(y.data());
+  // A bench-medium projection (rows x cols: Wq/Wo 512x512, gate/up
+  // 1408x512, down 512x1408) against m positions: m == 1 is the batch-1
+  // decode row kernel, m >= 2 the panel kernel of prefill chunks and
+  // multi-session decode. items/s is multiply-accumulates per second, so
+  // rows at different m compare directly.
+  const uint64_t rows = state.range(0);
+  const uint64_t cols = state.range(1);
+  const uint64_t m = state.range(2);
+  Tensor w = MakeRandomTensor("w", DType::kQ8_0, rows, cols, 3);
+  std::vector<float> x(m * cols), y(m * rows, 0.0f);
+  Rng rng(4);
+  for (auto& v : x) {
+    v = static_cast<float>(rng.NextGaussian(0.0, 1.0));
   }
-  state.SetItemsProcessed(state.iterations() * dim * dim * m);
+  Q8Acts acts;
+  acts.QuantizeRows(x.data(), m, cols);
+  for (auto _ : state) {
+    MatMatQ8(w.data.data(), rows, cols, acts, y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * cols * m);
+  state.SetLabel(SimdIsaName(ActiveKernels()->isa));
 }
-BENCHMARK(BM_MatMatQ8)->Args({256, 32})->Args({512, 32});
+BENCHMARK(BM_MatMatQ8)
+    ->ArgsProduct({{512}, {512}, {1, 2, 3, 5, 8, 32}})
+    ->ArgsProduct({{1408}, {512}, {1, 2, 3, 5, 8, 32}})
+    ->ArgsProduct({{512}, {1408}, {1, 2, 3, 5, 8, 32}});
 
 void BM_BuddyAllocFree(benchmark::State& state) {
   BuddyAllocator buddy(0, 1 << 18);

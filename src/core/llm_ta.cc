@@ -17,11 +17,20 @@ namespace {
 
 // KV spill blobs live in attacker-controlled REE memory, so they get their
 // own key, derived from the model key with a fixed label (never the model
-// key itself: a break of the spill path must not expose the weights).
-AesKey128 DeriveKvSpillKey(const AesKey128& model_key) {
+// key itself: a break of the spill path must not expose the weights). The
+// TEE OS key epoch makes the key unique to this load of this TA instance:
+// every fresh page pool restarts its spill sequence at 1, so without it a
+// blob kept from a previous boot would carry the same labels and
+// authenticate, restoring another boot's KV.
+AesKey128 DeriveKvSpillKey(const AesKey128& model_key, uint64_t epoch) {
   Sha256 hasher;
   hasher.Update(model_key.data(), model_key.size());
   hasher.Update("kv-spill");
+  uint8_t epoch_le[8];
+  for (int i = 0; i < 8; ++i) {
+    epoch_le[i] = static_cast<uint8_t>(epoch >> (8 * i));
+  }
+  hasher.Update(epoch_le, sizeof(epoch_le));
   const Sha256Digest digest = hasher.Finalize();
   AesKey128 key{};
   std::copy(digest.begin(), digest.begin() + key.size(), key.begin());
@@ -141,7 +150,8 @@ Status LlmTa::LoadModel(const std::string& model_id, SchedulePolicy policy) {
   arena_options.pool.page_positions = engine_options_.kv_page_positions;
   arena_options.pool.pool_bytes = engine_options_.kv_pool_bytes;
   arena_options.pool.spill = engine_options_.kv_spill;
-  arena_options.pool.spill_key = DeriveKvSpillKey(model_key_);
+  arena_options.pool.spill_key =
+      DeriveKvSpillKey(model_key_, tee_os_->NextKeyEpoch());
   arena_options.prefix_entries = engine_options_.kv_prefix_entries;
   const uint64_t n_slots =
       static_cast<uint64_t>(engine_options_.max_sessions);

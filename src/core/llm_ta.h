@@ -235,6 +235,9 @@ class LlmTa {
   // The per-session KV slots (sized by EngineOptions::max_sessions).
   // nullptr before LoadModel.
   const KvArena* kv_arena() const { return kv_arena_.get(); }
+  // Mutable view for tests that act as the REE on spilled pages (the pool's
+  // ree_blob_data surface).
+  KvArena* kv_arena() { return kv_arena_.get(); }
 
   // Weight source reading decrypted tensors out of the protected region
   // through TA mappings. Exposed for tests.

@@ -11,11 +11,19 @@
 // (the rest of the codebase stays portable baseline code).
 //
 // Numerics contract per slot:
-//  - dot_row_q8 / dot_row_q8_ws / dot_rows4_q8 are BIT-IDENTICAL across
-//    all backends: the 32-wide int8 MACs reduce in exact integer arithmetic
-//    and the per-block float combine runs serially in block order (one
-//    independent serial accumulator per position in the rows4 variant), so
-//    vectorizing the integer dot cannot change a single bit of the output.
+//  - dot_row_q8 / dot_panel8_q8 are BIT-IDENTICAL across all backends and
+//    to each other: each 32-element int8 block dot reduces in exact integer
+//    arithmetic and the per-block float combine runs serially in block
+//    order, (wscale * xscale) * dot per block with no FMA (one independent
+//    serial accumulator per position in the panel kernel), so vectorizing
+//    the integer dot cannot change a single bit of the output.
+//    Precondition for exactness: activations lie in [-127, 127] (what
+//    Q8Acts::QuantizeRows emits; -128 is never produced) and weights in
+//    [-128, 127]. The AVX2 backend multiplies |w| (unsigned, <= 128) by
+//    sign-adjusted x with vpmaddubsw, whose int16 pair sums then stay at
+//    most 2 * 128 * 127 = 32512, below the int16 saturation point. An
+//    activation of -128 would both overflow the sign flip and void that
+//    bound.
 //  - f32_to_f16 is bit-identical across backends for FINITE inputs (the
 //    AVX2 path reproduces the scalar converter's flush-subnormals-to-zero
 //    behavior; NaN diverges — scalar emits inf, AVX2 flushes to zero — but
@@ -44,6 +52,11 @@ enum class SimdIsa : uint8_t {
 
 const char* SimdIsaName(SimdIsa isa);
 
+// Activation panel geometry of dot_panel8_q8: positions per panel group and
+// packed bytes per 32-element block of one group.
+inline constexpr uint64_t kQ8PanelPositions = 8;
+inline constexpr uint64_t kQ8PanelBlockBytes = kQ8PanelPositions * 32;
+
 // One function pointer per hot inner loop. `nblocks` counts 34-byte Q8_0
 // blocks (tensor.h geometry); `row` points at a row of such blocks.
 struct KernelDispatch {
@@ -53,32 +66,24 @@ struct KernelDispatch {
   // from the f16 header of each block. The MatVecQ8Pre row kernel.
   float (*dot_row_q8)(const uint8_t* row, const int8_t* xq,
                       const float* xscale, uint64_t nblocks);
-  // Same dot with the row's weight scales pre-expanded by the caller (for
-  // callers that amortize one expansion across many dots of the same row).
-  float (*dot_row_q8_ws)(const uint8_t* row, const float* wscales,
-                         const int8_t* xq, const float* xscale,
-                         uint64_t nblocks);
-  // Four positions against one weight row in a single pass — the MatMatQ8
-  // group kernel behind batched multi-session decode. Each weight block is
-  // loaded and widened ONCE and all four positions' activations dot
-  // against it, so a batch streams the weight bytes (and converts each f16
-  // scale header) once instead of four times; reading the header in-kernel
-  // rather than via a pre-expanded wscales pass keeps the converts fused
-  // into the weight stream, where they hide in the DRAM latency instead of
-  // serializing against the dots. out4[j] is BIT-IDENTICAL to dot_row_q8
-  // over position j: the block dots reduce in exact integer arithmetic (a
-  // 4-wide horizontal add only reorders integer adds) and the per-position
-  // float combine runs serially in block order with the same
-  // (wscale * xscale) * dot association — four independent accumulators,
-  // one per position, never mixed.
-  //   xq:        position 0's quantized row; position j at xq+j*x_stride.
-  //   xs_t:      activation scales TRANSPOSED to [block][position] — block
-  //              b's four scales are xs_t[b*xs_stride + 0..3] — so backends
-  //              load them as one vector (the caller builds the transpose
-  //              once per matmul and reuses it across every row).
-  void (*dot_rows4_q8)(const uint8_t* row, const int8_t* xq,
-                       uint64_t x_stride, const float* xs_t,
-                       uint64_t xs_stride, uint64_t nblocks, float* out4);
+  // Eight positions against one weight row in a single pass: the MatMatQ8
+  // kernel for every m >= 2 (batched prefill chunks and multi-session
+  // decode). The activations come pre-packed as one PANEL GROUP of
+  // kQ8PanelPositions positions (PackQ8Panels in tensor.h builds them):
+  //   panel:        for block b, quad k (elements 4k..4k+3 of the block)
+  //                 and position p, the four int8 values sit at
+  //                 panel[b*kQ8PanelBlockBytes + k*32 + p*4 + 0..3], so one
+  //                 32-byte vector holds the same 4 k-elements of all 8
+  //                 positions and one broadcast weight quad multiplies them
+  //                 all vertically, with no per-block horizontal reduction.
+  //   panel_scales: block b's eight activation scales at
+  //                 panel_scales[b*kQ8PanelPositions + p].
+  // Positions past the batch are zero-padded (values and scales) and their
+  // out8 lanes are discarded by the caller. out8[p] is BIT-IDENTICAL to
+  // dot_row_q8 over position p (contract above).
+  void (*dot_panel8_q8)(const uint8_t* row, const int8_t* panel,
+                        const float* panel_scales, uint64_t nblocks,
+                        float* out8);
 
   // Attention primitives over one head row of `n` floats.
   float (*dot_qk_f16)(const float* q, const uint16_t* k, int n);

@@ -4,10 +4,12 @@
 // so nothing here may be called on a lesser CPU.
 //
 // Bit-exactness notes (the contract kernels.h states):
-//  - DotRowQ8*: the 32-wide int8 dot reduces in exact integer arithmetic
-//    (madd_epi16 pairs fit int32 with huge margin: 32 * 127 * 127 < 2^19 per
-//    lane pair), and the per-block float combine stays serial in block
-//    order — so the result is bit-identical to the scalar table.
+//  - DotRowQ8 / DotPanel8Q8: the int8 block dots reduce in exact integer
+//    arithmetic — vpmaddubsw of |w| (<= 128) by sign-adjusted x (|x| <= 127,
+//    the kernels.h precondition) sums each pair to at most 32512, below
+//    int16 saturation, and vpmaddwd then widens to int32 — and the
+//    per-block float combine stays serial in block order, so the result is
+//    bit-identical to the scalar table.
 //  - F32ToF16: vcvtps2ph rounds to nearest-even like the scalar converter,
 //    and a pre-mask reproduces its flush-subnormals-to-zero behavior, so
 //    the f16 KV arena holds identical bytes whichever table filled it
@@ -45,20 +47,20 @@ inline double Hsum4d(__m256d v) {
   return _mm_cvtsd_f64(s);
 }
 
-// Exact int32 dot of one 32-element int8 block pair: widen to int16, madd
-// to int32 pairs, reduce. Integer adds are associative, so the horizontal
-// reduction order cannot change the value.
+// Exact int16 pair products of int8 vectors w and x: |w| as unsigned bytes
+// times x carrying w's sign, summed pairwise by vpmaddubsw. Exact (no
+// saturation) while |x| <= 127; see the kernels.h contract.
+inline __m256i MulPairsI8(__m256i w, __m256i x) {
+  return _mm256_maddubs_epi16(_mm256_sign_epi8(w, w), _mm256_sign_epi8(x, w));
+}
+
+// Exact int32 dot of one 32-element int8 block pair. Integer adds are
+// associative, so the horizontal reduction order cannot change the value.
 inline int32_t DotBlock32(const int8_t* w, const int8_t* x) {
-  const __m256i w16a = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
-  const __m256i w16b = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + 16)));
-  const __m256i x16a = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(x)));
-  const __m256i x16b = _mm256_cvtepi8_epi16(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(x + 16)));
-  const __m256i s = _mm256_add_epi32(_mm256_madd_epi16(w16a, x16a),
-                                     _mm256_madd_epi16(w16b, x16b));
+  const __m256i s = _mm256_madd_epi16(
+      MulPairsI8(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)),
+                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x))),
+      _mm256_set1_epi16(1));
   __m128i s4 = _mm_add_epi32(_mm256_castsi256_si128(s),
                              _mm256_extracti128_si256(s, 1));
   s4 = _mm_add_epi32(s4, _mm_shuffle_epi32(s4, _MM_SHUFFLE(1, 0, 3, 2)));
@@ -66,85 +68,59 @@ inline int32_t DotBlock32(const int8_t* w, const int8_t* x) {
   return _mm_cvtsi128_si32(s4);
 }
 
+// The f16 scale header converts through vcvtsh2ss: exact IEEE f16->f32,
+// bit-identical to the scalar F16ToF32 for every finite input, and inline
+// instead of an out-of-line call per 34 streamed bytes.
+inline float BlockScale(const uint8_t* blk) {
+  return _cvtsh_ss(static_cast<uint16_t>(blk[0] | (blk[1] << 8)));
+}
+
 float DotRowQ8Avx2(const uint8_t* row, const int8_t* xq, const float* xscale,
                    uint64_t nblocks) {
   float acc = 0.0f;
   for (uint64_t b = 0; b < nblocks; ++b) {
     const uint8_t* blk = row + b * kQ8BlockBytes;
-    const float wscale =
-        F16ToF32(static_cast<uint16_t>(blk[0] | (blk[1] << 8)));
     const int32_t dot = DotBlock32(reinterpret_cast<const int8_t*>(blk + 2),
                                    xq + b * kQ8BlockElems);
-    acc += (wscale * xscale[b]) * static_cast<float>(dot);
+    acc += (BlockScale(blk) * xscale[b]) * static_cast<float>(dot);
   }
   return acc;
 }
 
-float DotRowQ8WsAvx2(const uint8_t* row, const float* wscales,
-                     const int8_t* xq, const float* xscale,
-                     uint64_t nblocks) {
-  float acc = 0.0f;
-  for (uint64_t b = 0; b < nblocks; ++b) {
-    const int32_t dot = DotBlock32(
-        reinterpret_cast<const int8_t*>(row + b * kQ8BlockBytes + 2),
-        xq + b * kQ8BlockElems);
-    acc += (wscales[b] * xscale[b]) * static_cast<float>(dot);
-  }
-  return acc;
-}
-
-void DotRows4Q8Avx2(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
-                    const float* xs_t, uint64_t xs_stride, uint64_t nblocks,
-                    float* out4) {
-  // Block-outer: each weight block is loaded and widened ONCE, then all
-  // four positions madd against the shared registers — the whole point of
-  // the batched decode path (the single-row kernel re-streams the row per
-  // position). The f16 scale header converts in-loop through vcvtsh2ss
-  // (exact IEEE f16->f32, bit-identical to the scalar F16ToF32 for every
-  // input), fused into the weight stream. Exactness of the rest: the three
-  // hadds only reorder exact int32 adds; the float combine is one mul +
-  // one mul + one add PER LANE, lane p carrying position p's serial
-  // block-order accumulator with the same (wscale * xscale) * dot
-  // association as the scalar loop — no FMA, which would skip the
-  // intermediate rounding the scalar table performs.
-  __m128 acc = _mm_setzero_ps();
+void DotPanel8Q8Avx2(const uint8_t* row, const int8_t* panel,
+                     const float* panel_scales, uint64_t nblocks,
+                     float* out8) {
+  // Lane p of every vector below is position p. Each weight quad (4 int8)
+  // is broadcast to all eight lanes and multiplied against the panel's
+  // matching quad of every position, so the block dots come out vertically
+  // as exact int32 lanes: no int16 widening of the operands and no
+  // per-block horizontal reduction. The float combine is one mul + one mul
+  // + one add per lane, lane p carrying position p's serial block-order
+  // accumulator with the scalar table's (wscale * xscale) * dot
+  // association — no FMA, which would skip the intermediate rounding the
+  // scalar table performs.
+  const __m256i ones = _mm256_set1_epi16(1);
+  __m256 acc = _mm256_setzero_ps();
   for (uint64_t b = 0; b < nblocks; ++b) {
     const uint8_t* blk = row + b * kQ8BlockBytes;
-    const float wscale =
-        _cvtsh_ss(static_cast<uint16_t>(blk[0] | (blk[1] << 8)));
-    const int8_t* wq = reinterpret_cast<const int8_t*>(blk + 2);
-    const __m256i w16a = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(wq)));
-    const __m256i w16b = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(wq + 16)));
-    __m256i part[4];
-    for (int p = 0; p < 4; ++p) {
-      const int8_t* xb =
-          xq + static_cast<uint64_t>(p) * x_stride + b * kQ8BlockElems;
-      const __m256i x16a = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(xb)));
-      const __m256i x16b = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(xb + 16)));
-      part[p] = _mm256_add_epi32(_mm256_madd_epi16(w16a, x16a),
-                                 _mm256_madd_epi16(w16b, x16b));
+    const uint8_t* wq = blk + 2;
+    const int8_t* pb = panel + b * kQ8PanelBlockBytes;
+    __m256i dot = _mm256_setzero_si256();
+    for (int k = 0; k < 8; ++k) {
+      int32_t quad;
+      __builtin_memcpy(&quad, wq + 4 * k, 4);
+      const __m256i x =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb + 32 * k));
+      dot = _mm256_add_epi32(
+          dot, _mm256_madd_epi16(MulPairsI8(_mm256_set1_epi32(quad), x),
+                                 ones));
     }
-    // Cross-position reduction: fold each 8-lane partial to 4 lanes, then
-    // hadd pairs so lane p of `dots` holds position p's exact block dot.
-    const __m128i r0 = _mm_add_epi32(_mm256_castsi256_si128(part[0]),
-                                     _mm256_extracti128_si256(part[0], 1));
-    const __m128i r1 = _mm_add_epi32(_mm256_castsi256_si128(part[1]),
-                                     _mm256_extracti128_si256(part[1], 1));
-    const __m128i r2 = _mm_add_epi32(_mm256_castsi256_si128(part[2]),
-                                     _mm256_extracti128_si256(part[2], 1));
-    const __m128i r3 = _mm_add_epi32(_mm256_castsi256_si128(part[3]),
-                                     _mm256_extracti128_si256(part[3], 1));
-    const __m128i dots =
-        _mm_hadd_epi32(_mm_hadd_epi32(r0, r1), _mm_hadd_epi32(r2, r3));
-    const __m128 scales = _mm_mul_ps(_mm_set1_ps(wscale),
-                                     _mm_loadu_ps(xs_t + b * xs_stride));
-    acc = _mm_add_ps(acc, _mm_mul_ps(scales, _mm_cvtepi32_ps(dots)));
+    const __m256 scales =
+        _mm256_mul_ps(_mm256_set1_ps(BlockScale(blk)),
+                      _mm256_loadu_ps(panel_scales + b * kQ8PanelPositions));
+    acc = _mm256_add_ps(acc, _mm256_mul_ps(scales, _mm256_cvtepi32_ps(dot)));
   }
-  _mm_storeu_ps(out4, acc);
+  _mm256_storeu_ps(out8, acc);
 }
 
 float DotQkF16Avx2(const float* q, const uint16_t* k, int n) {
@@ -320,8 +296,7 @@ void SoftmaxAvx2(float* x, int n) {
 const KernelDispatch kAvx2Table = {
     SimdIsa::kAvx2F16c,
     DotRowQ8Avx2,
-    DotRowQ8WsAvx2,
-    DotRows4Q8Avx2,
+    DotPanel8Q8Avx2,
     DotQkF16Avx2,
     DotQkF32Avx2,
     AxpyF16Avx2,

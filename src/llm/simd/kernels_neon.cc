@@ -49,56 +49,52 @@ float DotRowQ8Neon(const uint8_t* row, const int8_t* xq, const float* xscale,
   return acc;
 }
 
-float DotRowQ8WsNeon(const uint8_t* row, const float* wscales,
-                     const int8_t* xq, const float* xscale,
-                     uint64_t nblocks) {
-  float acc = 0.0f;
-  for (uint64_t b = 0; b < nblocks; ++b) {
-    const int32_t dot = DotBlock32(
-        reinterpret_cast<const int8_t*>(row + b * kQ8BlockBytes + 2),
-        xq + b * kQ8BlockElems);
-    acc += (wscales[b] * xscale[b]) * static_cast<float>(dot);
-  }
-  return acc;
-}
-
-void DotRows4Q8Neon(const uint8_t* row, const int8_t* xq, uint64_t x_stride,
-                    const float* xs_t, uint64_t xs_stride, uint64_t nblocks,
-                    float* out4) {
-  // Block-outer so each weight block's two int8x16 loads (and the f16
-  // header convert, done through F16ToF32 — the exact software path, as
-  // this table's single-row dots use) are shared by all four positions.
-  // Each position's block dot is the exact DotBlock32 reduction and its
-  // float accumulator advances serially in block order with the scalar
-  // table's association — bit-identical per position.
-  float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-  float* accs[4] = {&acc0, &acc1, &acc2, &acc3};
+void DotPanel8Q8Neon(const uint8_t* row, const int8_t* panel,
+                     const float* panel_scales, uint64_t nblocks,
+                     float* out8) {
+  // Two half-panels of four positions. Each weight quad is broadcast to
+  // all lanes; vmull_s8 multiplies it against two positions' quads at a
+  // time (exact int16 products, |w * x| <= 128 * 128) and vpadalq_s16
+  // pair-accumulates them into int32, leaving position p's block dot split
+  // over two adjacent lanes that one vpaddq_s32 folds per half-panel. The
+  // float combine is one mul + one mul + one add per lane with the scalar
+  // table's association (this TU builds with -ffp-contract=off, so nothing
+  // fuses), lane p of each half carrying its position's serial
+  // block-order accumulator: bit-identical to dot_row_q8 per position.
+  float32x4_t acc_lo = vdupq_n_f32(0.0f);
+  float32x4_t acc_hi = vdupq_n_f32(0.0f);
   for (uint64_t b = 0; b < nblocks; ++b) {
     const uint8_t* blk = row + b * kQ8BlockBytes;
     const float wscale =
         F16ToF32(static_cast<uint16_t>(blk[0] | (blk[1] << 8)));
-    const int8_t* wq = reinterpret_cast<const int8_t*>(blk + 2);
-    const int8x16_t w0 = vld1q_s8(wq);
-    const int8x16_t w1 = vld1q_s8(wq + 16);
-    for (int p = 0; p < 4; ++p) {
-      const int8_t* xb =
-          xq + static_cast<uint64_t>(p) * x_stride + b * kQ8BlockElems;
-      int32x4_t acc = vdupq_n_s32(0);
-      const int8x16_t x0 = vld1q_s8(xb);
-      const int8x16_t x1 = vld1q_s8(xb + 16);
-      acc = vpadalq_s16(acc, vmull_s8(vget_low_s8(w0), vget_low_s8(x0)));
-      acc = vpadalq_s16(acc, vmull_s8(vget_high_s8(w0), vget_high_s8(x0)));
-      acc = vpadalq_s16(acc, vmull_s8(vget_low_s8(w1), vget_low_s8(x1)));
-      acc = vpadalq_s16(acc, vmull_s8(vget_high_s8(w1), vget_high_s8(x1)));
-      const int32_t dot = vaddvq_s32(acc);
-      *accs[p] += (wscale * xs_t[b * xs_stride + p]) *
-                  static_cast<float>(dot);
+    const uint8_t* wq = blk + 2;
+    const int8_t* pb = panel + b * kQ8PanelBlockBytes;
+    int32x4_t d01 = vdupq_n_s32(0);  // Positions 0, 1 (two lanes each).
+    int32x4_t d23 = vdupq_n_s32(0);
+    int32x4_t d45 = vdupq_n_s32(0);
+    int32x4_t d67 = vdupq_n_s32(0);
+    for (int k = 0; k < 8; ++k) {
+      int32_t quad;
+      __builtin_memcpy(&quad, wq + 4 * k, 4);
+      const int8x8_t w = vreinterpret_s8_s32(vdup_n_s32(quad));
+      const int8x16_t x_lo = vld1q_s8(pb + 32 * k);       // Positions 0..3.
+      const int8x16_t x_hi = vld1q_s8(pb + 32 * k + 16);  // Positions 4..7.
+      d01 = vpadalq_s16(d01, vmull_s8(w, vget_low_s8(x_lo)));
+      d23 = vpadalq_s16(d23, vmull_s8(w, vget_high_s8(x_lo)));
+      d45 = vpadalq_s16(d45, vmull_s8(w, vget_low_s8(x_hi)));
+      d67 = vpadalq_s16(d67, vmull_s8(w, vget_high_s8(x_hi)));
     }
+    const float32x4_t ws = vdupq_n_f32(wscale);
+    const float* ps = panel_scales + b * kQ8PanelPositions;
+    acc_lo = vaddq_f32(acc_lo,
+                       vmulq_f32(vmulq_f32(ws, vld1q_f32(ps)),
+                                 vcvtq_f32_s32(vpaddq_s32(d01, d23))));
+    acc_hi = vaddq_f32(acc_hi,
+                       vmulq_f32(vmulq_f32(ws, vld1q_f32(ps + 4)),
+                                 vcvtq_f32_s32(vpaddq_s32(d45, d67))));
   }
-  out4[0] = acc0;
-  out4[1] = acc1;
-  out4[2] = acc2;
-  out4[3] = acc3;
+  vst1q_f32(out8, acc_lo);
+  vst1q_f32(out8 + 4, acc_hi);
 }
 
 float DotQkF16Neon(const float* q, const uint16_t* k, int n) {
@@ -221,8 +217,7 @@ void SoftmaxNeon(float* x, int n) {
 const KernelDispatch kNeonTable = {
     SimdIsa::kNeon,
     DotRowQ8Neon,
-    DotRowQ8WsNeon,
-    DotRows4Q8Neon,
+    DotPanel8Q8Neon,
     DotQkF16Neon,
     DotQkF32Neon,
     AxpyF16Neon,

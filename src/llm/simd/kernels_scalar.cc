@@ -30,47 +30,31 @@ float DotRowQ8Scalar(const uint8_t* row, const int8_t* xq,
   return acc;
 }
 
-float DotRowQ8WsScalar(const uint8_t* row, const float* wscales,
-                       const int8_t* xq, const float* xscale,
-                       uint64_t nblocks) {
-  float acc = 0.0f;
-  for (uint64_t b = 0; b < nblocks; ++b) {
-    const int8_t* wq =
-        reinterpret_cast<const int8_t*>(row + b * kQ8BlockBytes + 2);
-    const int8_t* xb = xq + b * kQ8BlockElems;
-    int32_t dot = 0;
-    for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
-      dot += static_cast<int32_t>(wq[i]) * static_cast<int32_t>(xb[i]);
-    }
-    acc += (wscales[b] * xscale[b]) * static_cast<float>(dot);
-  }
-  return acc;
-}
-
-void DotRows4Q8Scalar(const uint8_t* row, const int8_t* xq,
-                      uint64_t x_stride, const float* xs_t,
-                      uint64_t xs_stride, uint64_t nblocks, float* out4) {
+void DotPanel8Q8Scalar(const uint8_t* row, const int8_t* panel,
+                       const float* panel_scales, uint64_t nblocks,
+                       float* out8) {
   // Block-outer so the header convert happens once per block (shared by
-  // all four positions, like the SIMD tables); each position's accumulator
+  // all eight positions, like the SIMD tables); each position's accumulator
   // advances serially in block order with DotRowQ8Scalar's association.
-  float acc[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  float acc[kQ8PanelPositions] = {};
   for (uint64_t b = 0; b < nblocks; ++b) {
     const uint8_t* blk = row + b * kQ8BlockBytes;
     const float wscale =
         F16ToF32(static_cast<uint16_t>(blk[0] | (blk[1] << 8)));
     const int8_t* wq = reinterpret_cast<const int8_t*>(blk + 2);
-    for (int p = 0; p < 4; ++p) {
-      const int8_t* xb =
-          xq + static_cast<uint64_t>(p) * x_stride + b * kQ8BlockElems;
+    const int8_t* pb = panel + b * kQ8PanelBlockBytes;
+    for (uint64_t p = 0; p < kQ8PanelPositions; ++p) {
       int32_t dot = 0;
       for (uint64_t i = 0; i < kQ8BlockElems; ++i) {
-        dot += static_cast<int32_t>(wq[i]) * static_cast<int32_t>(xb[i]);
+        const int8_t x = pb[(i / 4) * 32 + p * 4 + i % 4];
+        dot += static_cast<int32_t>(wq[i]) * static_cast<int32_t>(x);
       }
-      acc[p] += (wscale * xs_t[b * xs_stride + p]) * static_cast<float>(dot);
+      acc[p] += (wscale * panel_scales[b * kQ8PanelPositions + p]) *
+                static_cast<float>(dot);
     }
   }
-  for (int p = 0; p < 4; ++p) {
-    out4[p] = acc[p];
+  for (uint64_t p = 0; p < kQ8PanelPositions; ++p) {
+    out8[p] = acc[p];
   }
 }
 
@@ -165,8 +149,7 @@ void SoftmaxScalar(float* x, int n) {
 const KernelDispatch kScalarTable = {
     SimdIsa::kScalar,
     DotRowQ8Scalar,
-    DotRowQ8WsScalar,
-    DotRows4Q8Scalar,
+    DotPanel8Q8Scalar,
     DotQkF16Scalar,
     DotQkF32Scalar,
     AxpyF16Scalar,

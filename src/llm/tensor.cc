@@ -187,45 +187,61 @@ void MatVecQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const float* x,
   MatVecQ8Pre(w, rows, cols, acts, y, pool, kernels);
 }
 
-void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
-              float* y, ThreadPool* pool, const KernelDispatch* kernels) {
-  const KernelDispatch* k = kernels != nullptr ? kernels : ActiveKernels();
-  const uint64_t blocks_per_row = cols / kQ8BlockElems;
-  const uint64_t m = x.m;
-  // Groups of four positions take the rows4 kernel: one weight-block widen
-  // (and one f16 header convert) is shared by four positions, which is
-  // where batched decode recovers the weight-streaming bandwidth a
-  // per-position loop re-pays. It wants the activation scales transposed
-  // to [block][position]; build that once here and reuse it across every
-  // row (and every worker thread — read-only). Remainder positions go
-  // through dot_row_q8, which reads the same headers in-kernel, so no
-  // pre-expanded wscales pass runs at all — that separate walk serialized
-  // ~one F16ToF32 per 34 streamed bytes against the dot loop.
-  std::vector<float> xs_t;
-  if (m >= 4) {
-    xs_t.resize(blocks_per_row * m);
-    for (uint64_t p = 0; p < m; ++p) {
-      for (uint64_t b = 0; b < blocks_per_row; ++b) {
-        xs_t[b * m + p] = x.scale[p * blocks_per_row + b];
+void PackQ8Panels(const Q8Acts& x, std::vector<int8_t>* panel,
+                  std::vector<float>* scales) {
+  const uint64_t nblocks = x.cols / kQ8BlockElems;
+  const uint64_t groups = (x.m + kQ8PanelPositions - 1) / kQ8PanelPositions;
+  panel->assign(groups * nblocks * kQ8PanelBlockBytes, 0);
+  scales->assign(groups * nblocks * kQ8PanelPositions, 0.0f);
+  for (uint64_t pos = 0; pos < x.m; ++pos) {
+    const uint64_t g = pos / kQ8PanelPositions;
+    const uint64_t p = pos % kQ8PanelPositions;
+    const int8_t* src = x.q.data() + pos * x.cols;
+    for (uint64_t b = 0; b < nblocks; ++b) {
+      const uint64_t gb = g * nblocks + b;
+      int8_t* dst = panel->data() + gb * kQ8PanelBlockBytes + p * 4;
+      for (uint64_t k = 0; k < kQ8BlockElems / 4; ++k) {
+        std::memcpy(dst + k * 4 * kQ8PanelPositions,
+                    src + b * kQ8BlockElems + k * 4, 4);
       }
+      (*scales)[gb * kQ8PanelPositions + p] = x.scale[pos * nblocks + b];
     }
   }
+}
+
+void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
+              float* y, ThreadPool* pool, const KernelDispatch* kernels) {
+  const uint64_t m = x.m;
+  if (m == 1) {
+    // A single position has no activation reuse to exploit and is
+    // memory-bound on the weight stream: the row kernel is as fast.
+    MatVecQ8Pre(w, rows, cols, x, y, pool, kernels);
+    return;
+  }
+  const KernelDispatch* k = kernels != nullptr ? kernels : ActiveKernels();
+  const uint64_t blocks_per_row = cols / kQ8BlockElems;
+  // Packed once per call into per-thread scratch (no secure-budget bytes:
+  // it is host working memory like the activations it mirrors) and read by
+  // every worker: each weight row then streams once per call and is dotted
+  // against all panel groups while it sits in L1.
+  thread_local std::vector<int8_t> panel;
+  thread_local std::vector<float> panel_scales;
+  PackQ8Panels(x, &panel, &panel_scales);
+  const int8_t* pq = panel.data();
+  const float* ps = panel_scales.data();
   auto run = [&](uint64_t r0, uint64_t r1) {
-    float out4[4];
+    float out8[kQ8PanelPositions];
     for (uint64_t r = r0; r < r1; ++r) {
       const uint8_t* row = w + r * blocks_per_row * kQ8BlockBytes;
-      uint64_t p = 0;
-      for (; p + 4 <= m; p += 4) {
-        k->dot_rows4_q8(row, x.q.data() + p * cols, cols, xs_t.data() + p, m,
-                        blocks_per_row, out4);
-        for (int j = 0; j < 4; ++j) {
-          y[(p + j) * rows + r] = out4[j];
+      for (uint64_t p0 = 0; p0 < m; p0 += kQ8PanelPositions) {
+        const uint64_t g = p0 / kQ8PanelPositions;
+        k->dot_panel8_q8(row, pq + g * blocks_per_row * kQ8PanelBlockBytes,
+                         ps + g * blocks_per_row * kQ8PanelPositions,
+                         blocks_per_row, out8);
+        const uint64_t n = std::min(kQ8PanelPositions, m - p0);
+        for (uint64_t j = 0; j < n; ++j) {
+          y[(p0 + j) * rows + r] = out8[j];
         }
-      }
-      for (; p < m; ++p) {
-        y[p * rows + r] = k->dot_row_q8(row, x.q.data() + p * cols,
-                                        x.scale.data() + p * blocks_per_row,
-                                        blocks_per_row);
       }
     }
   };

@@ -98,11 +98,21 @@ void MatVecQ8Pre(const uint8_t* w, uint64_t rows, uint64_t cols,
                  const Q8Acts& x, float* y, ThreadPool* pool = nullptr,
                  const KernelDispatch* kernels = nullptr);
 
-// Batched-prefill matmul: y[p*rows + r] = sum_c W[r,c] * X[p,c] for all
-// x.m positions. Row-blocked with positions innermost so each weight row is
-// streamed once per batch instead of once per position. Per-(row, position)
-// summation order matches MatVecQ8Pre exactly, so batched prefill and
-// incremental decode produce bit-identical activations.
+// Packs x's m positions into ceil(m / 8) activation panel groups, the
+// layout the batched kernel dot_panel8_q8 reads (simd/kernels.h). Group g's
+// values start at panel->data() + g * nblocks * kQ8PanelBlockBytes and its
+// scales at scales->data() + g * nblocks * kQ8PanelPositions; positions
+// past m are zero (values and scales). Resizes both vectors.
+void PackQ8Panels(const Q8Acts& x, std::vector<int8_t>* panel,
+                  std::vector<float>* scales);
+
+// Batched matmul: y[p*rows + r] = sum_c W[r,c] * X[p,c] for all x.m
+// positions. With m >= 2 the positions are packed once into panel groups of
+// eight and every weight row streams once per call, dotting against each
+// group in one dot_panel8_q8 pass; m == 1 is MatVecQ8Pre. Per-(row,
+// position) summation order matches MatVecQ8Pre exactly, so batched
+// prefill, batched decode and incremental decode produce bit-identical
+// activations.
 void MatMatQ8(const uint8_t* w, uint64_t rows, uint64_t cols, const Q8Acts& x,
               float* y, ThreadPool* pool = nullptr,
               const KernelDispatch* kernels = nullptr);

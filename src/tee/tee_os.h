@@ -89,6 +89,13 @@ class TeeOs {
   Status UnblockTaThread(int thread_id);
   Result<bool> TryResumeFromRee(int thread_id);  // smc entry point.
 
+  // A value no earlier call in this TEE OS boot returned: a plain counter,
+  // so it is deterministic and draws no entropy. A TA binds one into every
+  // key protecting state it parks in REE memory, so what an earlier TA
+  // instance parked there (before a crash, or before an Unload/LoadModel
+  // cycle) never authenticates under a later one.
+  uint64_t NextKeyEpoch() { return ++key_epoch_; }
+
   const KeyHierarchy& keys() const { return keys_; }
   SocPlatform& platform() { return *platform_; }
   TzDriver& tz_driver() { return *tz_driver_; }
@@ -129,6 +136,7 @@ class TeeOs {
   std::unordered_map<int, ThreadState> ta_threads_;
   std::unordered_map<int, TaId> thread_owner_;
   TaId next_ta_id_ = 1;
+  uint64_t key_epoch_ = 0;
   uint64_t scrubbed_bytes_ = 0;
   uint64_t contiguity_rejections_ = 0;
   bool booted_ = false;

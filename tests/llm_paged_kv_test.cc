@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -199,44 +200,6 @@ TEST_F(PagedKvTest, TamperedSpillBlobFailsClosed) {
   ASSERT_FALSE(pool.resident(*b));
   pool.ree_blob_data(*b)[8] ^= 0xFF;
   EXPECT_EQ(pool.EnsureResident(*b).code(), ErrorCode::kDataCorruption);
-}
-
-// A fresh pool (a TA restarted after a crash) restarts its spill sequence
-// at 1 under the same spill key, so page 0's first spill carries the same
-// (page id, spill_seq) labels in both boots. The REE may keep the old
-// boot's blob; the two blobs must still not share a keystream, or the XOR
-// of the ciphertexts would hand the REE the XOR of the two pages.
-TEST_F(PagedKvTest, RestartedPoolNeverReusesKeystream) {
-  std::vector<std::vector<uint8_t>> blobs;
-  std::vector<std::vector<uint8_t>> plains;
-  for (uint16_t fill : {uint16_t{0x1111}, uint16_t{0x2222}}) {
-    KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(1));
-    auto a = pool.Alloc(false);
-    ASSERT_TRUE(a.ok());
-    ASSERT_EQ(*a, 0u);
-    uint16_t* d = pool.Data16(*a);
-    const size_t elems = pool.page_bytes() / sizeof(uint16_t);
-    std::fill(d, d + elems, fill);
-    const uint8_t* bytes = reinterpret_cast<const uint8_t*>(d);
-    plains.emplace_back(bytes, bytes + pool.page_bytes());
-    ASSERT_TRUE(pool.Alloc(false).ok());  // Evicts page 0: spill_seq 1.
-    ASSERT_FALSE(pool.resident(*a));
-    const uint8_t* blob = pool.ree_blob_data(*a);
-    blobs.emplace_back(blob, blob + pool.ree_blob_size(*a));
-    EXPECT_EQ(0, std::memcmp(blob, "TZKVPG02", 8));
-  }
-  ASSERT_EQ(blobs[0].size(), blobs[1].size());
-  // Same labels in both boots: magic, page id 0, spill_seq 1.
-  EXPECT_EQ(0, std::memcmp(blobs[0].data(), blobs[1].data(), 20));
-  const size_t ct = blobs[0].size() - plains[0].size();
-  size_t same_xor = 0;
-  for (size_t i = 0; i < plains[0].size(); ++i) {
-    const uint8_t c = blobs[0][ct + i] ^ blobs[1][ct + i];
-    const uint8_t p = plains[0][i] ^ plains[1][i];
-    same_xor += c == p ? 1 : 0;
-  }
-  // Independent keystreams agree on about 1/256 of the bytes.
-  EXPECT_LT(same_xor, plains[0].size() / 64);
 }
 
 TEST_F(PagedKvTest, PinnedPagesAreNeverEvicted) {
@@ -826,6 +789,162 @@ TEST(PagedEnginePrefixTest, SharedPrefixAdoptionKeepsTokensIdentical) {
   // At least one full page of prefill was skipped via the shared pages.
   EXPECT_GE(stats.adopted_positions, 8u);
   EXPECT_GT((*ta)->kv_arena()->pool()->stats().cow_copies, 0u);
+}
+
+// A fresh pool (a TA restarted after a crash) restarts its spill sequence
+// at 1, so page 0's first spill carries the same (page id, spill_seq)
+// labels in both boots. The REE may keep the old boot's blob. Even under
+// one spill key the two blobs must not share a keystream, or the XOR of the
+// ciphertexts would hand the REE the XOR of the two pages. And because the
+// labels match, only the TA's per-boot spill key (the TEE OS key epoch)
+// stops the old blob from authenticating in the new boot: substituting it
+// must fail with kDataCorruption, take the recompute path and leave every
+// token unchanged.
+TEST_F(PagedKvTest, RestartedPoolNeverReusesKeystream) {
+  std::vector<std::vector<uint8_t>> blobs;
+  std::vector<std::vector<uint8_t>> plains;
+  for (uint16_t fill : {uint16_t{0x1111}, uint16_t{0x2222}}) {
+    KvPagePool pool(spec_, KvStorage::kF16, PoolOpts(1));
+    auto a = pool.Alloc(false);
+    ASSERT_TRUE(a.ok());
+    ASSERT_EQ(*a, 0u);
+    uint16_t* d = pool.Data16(*a);
+    const size_t elems = pool.page_bytes() / sizeof(uint16_t);
+    std::fill(d, d + elems, fill);
+    const uint8_t* bytes = reinterpret_cast<const uint8_t*>(d);
+    plains.emplace_back(bytes, bytes + pool.page_bytes());
+    ASSERT_TRUE(pool.Alloc(false).ok());  // Evicts page 0: spill_seq 1.
+    ASSERT_FALSE(pool.resident(*a));
+    const uint8_t* blob = pool.ree_blob_data(*a);
+    blobs.emplace_back(blob, blob + pool.ree_blob_size(*a));
+    EXPECT_EQ(0, std::memcmp(blob, "TZKVPG02", 8));
+  }
+  ASSERT_EQ(blobs[0].size(), blobs[1].size());
+  // Same labels in both boots: magic, page id 0, spill_seq 1.
+  EXPECT_EQ(0, std::memcmp(blobs[0].data(), blobs[1].data(), 20));
+  const size_t ct = blobs[0].size() - plains[0].size();
+  size_t same_xor = 0;
+  for (size_t i = 0; i < plains[0].size(); ++i) {
+    const uint8_t c = blobs[0][ct + i] ^ blobs[1][ct + i];
+    const uint8_t p = plains[0][i] ^ plains[1][i];
+    same_xor += c == p ? 1 : 0;
+  }
+  // Independent keystreams agree on about 1/256 of the bytes.
+  EXPECT_LT(same_xor, plains[0].size() / 64);
+
+  // --- The same substitution through two boots of the real TA. ----------
+  const auto solo = FlatSoloRuns(/*force_scalar=*/false);
+  RuntimeConfig config = EngineConfig(
+      static_cast<int>(EnginePrompts().size()), /*paged=*/true, false);
+  const ModelSpec engine_spec = ModelSpec::Create(config.model);
+  config.engine.kv_pool_bytes =
+      (config.model.max_ctx / config.engine.kv_page_positions) *
+      KvPagePool::PageBytes(engine_spec, KvStorage::kF16,
+                            config.engine.kv_page_positions);
+  config.engine.kv_prefix_entries = 0;
+  SocPlatform plat;
+  SystemRuntime runtime(&plat, config);
+  ASSERT_TRUE(runtime.Setup().ok());
+
+  struct Spilled {
+    KvPageId id = kInvalidKvPage;
+    std::vector<uint8_t> blob;
+  };
+  // Runs every prompt concurrently on `ta`. After decode step `at_step`
+  // (or, when negative, the first step that leaves a page spilled) calls
+  // `on_step` with the lowest spilled page id; returns that step.
+  auto run = [&](LlmTa* ta, int at_step,
+                 const std::function<void(KvPagePool*, KvPageId)>& on_step,
+                 std::vector<GenerationResult>* out) {
+    std::vector<SessionId> sids;
+    for (const std::string& prompt : EnginePrompts()) {
+      auto sid = ta->BeginSession(prompt, kBudget);
+      EXPECT_TRUE(sid.ok()) << sid.status().ToString();
+      sids.push_back(sid.ok() ? *sid : 0);
+    }
+    int hooked = -1;
+    for (int step = 0;; ++step) {
+      std::vector<SessionId> running;
+      for (SessionId sid : sids) {
+        if (!ta->session_done(sid)) {
+          running.push_back(sid);
+        }
+      }
+      if (running.empty()) {
+        break;
+      }
+      Status st = ta->DecodeSessions(running);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      if (!st.ok()) {
+        break;
+      }
+      KvPagePool* pool = ta->kv_arena()->pool();
+      if (hooked < 0 && (at_step < 0 || step == at_step)) {
+        for (KvPageId id = 0; id < 1024; ++id) {
+          if (pool->ree_blob_size(id) > 0) {
+            hooked = step;
+            on_step(pool, id);
+            break;
+          }
+        }
+      }
+    }
+    for (SessionId sid : sids) {
+      auto result = ta->FinishSession(sid);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      out->push_back(result.ok() ? *result : GenerationResult{});
+    }
+    return hooked;
+  };
+
+  // Boot 1 keeps (as a hostile REE would) the first blob it sees spilled.
+  Spilled kept;
+  std::vector<GenerationResult> boot1;
+  int step = -1;
+  {
+    auto ta = runtime.CreateFunctionalTa();
+    ASSERT_TRUE(ta.ok());
+    ASSERT_TRUE((*ta)->LoadModel(runtime.spec().config().name).ok());
+    step = run(
+        ta->get(), -1,
+        [&](KvPagePool* pool, KvPageId id) {
+          kept.id = id;
+          kept.blob.assign(pool->ree_blob_data(id),
+                           pool->ree_blob_data(id) + pool->ree_blob_size(id));
+        },
+        &boot1);
+    ASSERT_GE(step, 0) << "the over-subscribed pool never spilled";
+    ExpectIdentical(solo, boot1);
+    // The crash: scrub secure memory and drop the TA instance.
+    ASSERT_TRUE((*ta)->Unload().ok());
+  }
+
+  // Boot 2 replays the same schedule; at the same step the same page sits
+  // spilled under the same labels, and the REE swaps in the kept blob.
+  auto ta = runtime.CreateFunctionalTa();
+  ASSERT_TRUE(ta.ok());
+  ASSERT_TRUE((*ta)->LoadModel(runtime.spec().config().name).ok());
+  std::vector<GenerationResult> boot2;
+  bool substituted = false;
+  run(
+      ta->get(), step,
+      [&](KvPagePool* pool, KvPageId id) {
+        ASSERT_EQ(id, kept.id);
+        ASSERT_EQ(pool->ree_blob_size(id), kept.blob.size());
+        uint8_t* blob = pool->ree_blob_data(id);
+        EXPECT_EQ(0, std::memcmp(blob, kept.blob.data(), 20))
+            << "labels differ: the substitution would fail for another "
+               "reason than the per-boot key";
+        std::memcpy(blob, kept.blob.data(), kept.blob.size());
+        EXPECT_EQ(pool->EnsureResident(id).code(),
+                  ErrorCode::kDataCorruption);
+        substituted = true;
+      },
+      &boot2);
+  ASSERT_TRUE(substituted);
+  EXPECT_GE((*ta)->kv_arena()->pool()->stats().pages_lost, 1u);
+  EXPECT_GE((*ta)->kv_recovery_stats().pages_recomputed, 1u);
+  ExpectIdentical(solo, boot2);
 }
 
 }  // namespace

@@ -125,8 +125,7 @@ TEST(SimdDispatchTest, TablesAreFullyPopulated) {
       continue;
     }
     EXPECT_NE(t->dot_row_q8, nullptr);
-    EXPECT_NE(t->dot_row_q8_ws, nullptr);
-    EXPECT_NE(t->dot_rows4_q8, nullptr);
+    EXPECT_NE(t->dot_panel8_q8, nullptr);
     EXPECT_NE(t->dot_qk_f16, nullptr);
     EXPECT_NE(t->dot_qk_f32, nullptr);
     EXPECT_NE(t->axpy_f16, nullptr);
@@ -171,55 +170,163 @@ TEST_F(SimdKernelTest, MatVecQ8BitIdenticalSimdVsScalar) {
 }
 
 TEST_F(SimdKernelTest, MatMatQ8BitIdenticalSimdVsScalar) {
+  // Every batch size from the single-row path (m == 1) through one, two and
+  // three panel groups with every count of zero-padded lanes, plus a full
+  // prefill chunk, on the bench-medium projection shapes (rows x cols):
+  // Wq/Wo 512x512, gate/up 1408x512 and down 512x1408.
   const KernelDispatch* simd = HostSimdTable();
   if (simd == nullptr) {
     GTEST_SKIP() << "host has no SIMD backend; scalar-only";
   }
-  constexpr uint64_t kPositions = 5;
-  Q8Acts rows;
-  rows.QuantizeRows(RandomFloats(kPositions * kCols, 33).data(), kPositions,
-                    kCols);
-  std::vector<float> ys(kPositions * kRows), yv(kPositions * kRows);
-  MatMatQ8(w_.data(), kRows, kCols, rows, ys.data(), nullptr,
-           ScalarKernels());
-  MatMatQ8(w_.data(), kRows, kCols, rows, yv.data(), nullptr, simd);
-  EXPECT_EQ(0, std::memcmp(ys.data(), yv.data(), ys.size() * sizeof(float)));
+  struct Shape {
+    uint64_t rows, cols;
+  };
+  std::vector<uint64_t> ms;
+  for (uint64_t m = 1; m <= 17; ++m) {
+    ms.push_back(m);
+  }
+  ms.push_back(32);
+  for (const Shape shape : {Shape{512, 512}, Shape{1408, 512},
+                            Shape{512, 1408}}) {
+    const auto wf = RandomFloats(shape.rows * shape.cols, 55, 0.08f);
+    std::vector<uint8_t> w(DTypeByteSize(DType::kQ8_0, wf.size()));
+    QuantizeQ8(wf.data(), wf.size(), w.data());
+    const auto xf = RandomFloats(32 * shape.cols, 66);
+    for (const uint64_t m : ms) {
+      Q8Acts rows;
+      rows.QuantizeRows(xf.data(), m, shape.cols);
+      std::vector<float> ys(m * shape.rows), yv(m * shape.rows);
+      MatMatQ8(w.data(), shape.rows, shape.cols, rows, ys.data(), nullptr,
+               ScalarKernels());
+      MatMatQ8(w.data(), shape.rows, shape.cols, rows, yv.data(), nullptr,
+               simd);
+      EXPECT_EQ(0,
+                std::memcmp(ys.data(), yv.data(), ys.size() * sizeof(float)))
+          << shape.rows << "x" << shape.cols << " m=" << m;
+    }
+  }
 }
 
-TEST_F(SimdKernelTest, DotRows4MatchesFourSingleRowDotsBitIdentically) {
-  // The grouped kernel's contract: out4[p] is the single-row dot of
-  // position p, bit-for-bit, on EVERY backend — that identity is what lets
-  // MatMatQ8 (and through it batched multi-session decode) group positions
-  // purely for weight-streaming bandwidth.
-  constexpr uint64_t kPositions = 4;
+TEST_F(SimdKernelTest, DotPanel8MatchesSingleRowDotsBitIdentically) {
+  // The panel kernel's contract: out8[p] is the single-row dot of position
+  // p, bit-for-bit, on EVERY backend. That identity is what lets MatMatQ8
+  // (and through it batched prefill and multi-session decode) group
+  // positions purely for throughput. Five positions leave three padded
+  // lanes in the group, which must come out as zero.
+  constexpr uint64_t kPositions = 5;
   const uint64_t blocks = kCols / kQ8BlockElems;
   Q8Acts rows;
   rows.QuantizeRows(RandomFloats(kPositions * kCols, 44).data(), kPositions,
                     kCols);
-  // Transposed [block][position] scales, as MatMatQ8 hands them over.
-  std::vector<float> xs_t(blocks * kPositions);
-  for (uint64_t p = 0; p < kPositions; ++p) {
-    for (uint64_t b = 0; b < blocks; ++b) {
-      xs_t[b * kPositions + p] = rows.scale[p * blocks + b];
-    }
-  }
+  std::vector<int8_t> panel;
+  std::vector<float> panel_scales;
+  PackQ8Panels(rows, &panel, &panel_scales);
+  ASSERT_EQ(panel.size(), blocks * kQ8PanelBlockBytes);
+  ASSERT_EQ(panel_scales.size(), blocks * kQ8PanelPositions);
   for (const KernelDispatch* t : {ScalarKernels(), HostSimdTable()}) {
     if (t == nullptr) {
       continue;
     }
     for (uint64_t r = 0; r < kRows; ++r) {
       const uint8_t* row = w_.data() + r * blocks * kQ8BlockBytes;
-      float grouped[4];
-      t->dot_rows4_q8(row, rows.q.data(), kCols, xs_t.data(), kPositions,
-                      blocks, grouped);
-      for (uint64_t p = 0; p < kPositions; ++p) {
+      float grouped[kQ8PanelPositions];
+      t->dot_panel8_q8(row, panel.data(), panel_scales.data(), blocks,
+                       grouped);
+      for (uint64_t p = 0; p < kQ8PanelPositions; ++p) {
         const float single =
-            t->dot_row_q8(row, rows.q.data() + p * kCols,
-                          rows.scale.data() + p * blocks, blocks);
+            p < kPositions
+                ? t->dot_row_q8(row, rows.q.data() + p * kCols,
+                                rows.scale.data() + p * blocks, blocks)
+                : 0.0f;
         EXPECT_EQ(0, std::memcmp(&grouped[p], &single, sizeof(float)))
             << SimdIsaName(t->isa) << " row " << r << " position " << p;
       }
     }
+  }
+}
+
+TEST(SimdExtremeBlockTest, SaturationBoundHoldsOnEveryTable) {
+  // Blocks at the edge of the exactness precondition: weights all +127,
+  // all -127 and all -128 against activations all +127, all -127 and
+  // alternating +-127. Every vpmaddubsw pair then sums to +-32258 or
+  // +-32512, the largest magnitudes the AVX2 kernels can meet, and any
+  // saturation would show as a wrong dot. Scales are 1.0, so the exact
+  // answer is nblocks * sum_i w * x_i, representable in float.
+  constexpr uint64_t kBlocks = 4;
+  constexpr uint64_t kColsX = kBlocks * kQ8BlockElems;
+  std::vector<const KernelDispatch*> tables = {ScalarKernels()};
+  if (Avx2Kernels() != nullptr && CpuSupportsAvx2F16c()) {
+    tables.push_back(Avx2Kernels());
+  }
+  if (NeonKernels() != nullptr) {
+    tables.push_back(NeonKernels());
+  }
+  for (const int wv : {127, -127, -128}) {
+    std::vector<uint8_t> row(kBlocks * kQ8BlockBytes);
+    for (uint64_t b = 0; b < kBlocks; ++b) {
+      uint8_t* blk = row.data() + b * kQ8BlockBytes;
+      blk[0] = 0x00;  // f16 1.0 = 0x3C00, little-endian.
+      blk[1] = 0x3C;
+      std::memset(blk + 2, static_cast<uint8_t>(static_cast<int8_t>(wv)),
+                  kQ8BlockElems);
+    }
+    // Position 0 all +127, position 1 all -127, position 2 alternating.
+    constexpr uint64_t kM = 3;
+    Q8Acts acts;
+    acts.cols = kColsX;
+    acts.m = kM;
+    acts.q.resize(kM * kColsX);
+    acts.scale.assign(kM * kBlocks, 1.0f);
+    float expect[kM];
+    for (uint64_t p = 0; p < kM; ++p) {
+      int64_t sum = 0;
+      for (uint64_t i = 0; i < kColsX; ++i) {
+        const int x = p == 0 ? 127 : p == 1 ? -127 : (i % 2 ? -127 : 127);
+        acts.q[p * kColsX + i] = static_cast<int8_t>(x);
+        sum += static_cast<int64_t>(wv) * x;
+      }
+      expect[p] = static_cast<float>(sum);
+    }
+    std::vector<int8_t> panel;
+    std::vector<float> panel_scales;
+    PackQ8Panels(acts, &panel, &panel_scales);
+    for (const KernelDispatch* t : tables) {
+      float out8[kQ8PanelPositions];
+      t->dot_panel8_q8(row.data(), panel.data(), panel_scales.data(), kBlocks,
+                       out8);
+      for (uint64_t p = 0; p < kM; ++p) {
+        EXPECT_EQ(out8[p], expect[p])
+            << SimdIsaName(t->isa) << " panel w=" << wv << " position " << p;
+        EXPECT_EQ(t->dot_row_q8(row.data(), acts.q.data() + p * kColsX,
+                                acts.scale.data() + p * kBlocks, kBlocks),
+                  expect[p])
+            << SimdIsaName(t->isa) << " row w=" << wv << " position " << p;
+      }
+    }
+  }
+}
+
+TEST(Q8ActsTest, QuantizeRowsNeverEmitsMinus128) {
+  // -128 would break the kernels' exactness precondition (kernels.h).
+  // Blocks whose extreme element is negative, values a hair past the
+  // scale, huge and tiny magnitudes and subnormals all stay in [-127, 127].
+  constexpr uint64_t kN = 32 * 64;
+  std::vector<float> x = RandomFloats(kN, 77, 5.0f);
+  for (uint64_t b = 0; b < kN / 32; ++b) {
+    float* blk = x.data() + b * 32;
+    const float mag = std::ldexp(1.0f, static_cast<int>(b % 48) - 24);
+    for (int i = 0; i < 32; ++i) {
+      blk[i] *= mag;
+    }
+    blk[b % 32] = -mag * 7.0f;  // The negative extreme sets the scale.
+    blk[(b + 1) % 32] = std::nextafter(-mag * 7.0f, 0.0f);
+  }
+  x[5] = -3.4e38f;
+  x[40] = -1e-40f;  // Subnormal.
+  Q8Acts acts;
+  acts.QuantizeRows(x.data(), kN / 256, 256);
+  for (size_t i = 0; i < acts.q.size(); ++i) {
+    ASSERT_GE(acts.q[i], -127) << "element " << i;
   }
 }
 
