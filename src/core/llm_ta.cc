@@ -277,11 +277,9 @@ Status LlmTa::RestoreParameters(SchedulePolicy policy) {
   // false: the plan prices prefill compute ops at NPU rates exactly when
   // the configuration routes prefill there. npu_ctx_bytes_ is nonzero
   // exactly when LoadModel decided NPU prefill is active (driver wired,
-  // npu_prefill set, not forced onto the per-position CPU path) — one
-  // predicate, no second spelling to drift. The plan is nominal per model
-  // (n_tokens=16 below), so per-request divergence — e.g. a single-token
-  // prompt taking the per-position CPU path — is outside its scope either
-  // way.
+  // npu_prefill set, not kept on the CPU by reference kernels or
+  // one-position batches) — one predicate, no second spelling to drift.
+  // The plan is nominal per model (n_tokens=16 below).
   options.npu_available = npu_ctx_bytes_ > 0;
   options.decrypt = true;
   options.preemptible = policy == SchedulePolicy::kPriorityPreemptive;
@@ -467,13 +465,13 @@ Status LlmTa::RecoverLostKv(const std::vector<Session*>& sessions,
                                       : s->output_tokens[p - prompt_len]);
       }
       // Rewind the fill marks to the lost range and run the standard
-      // chunked prefill over it: ForwardChunk takes its RoPE start from the
+      // chunked prefill over it: PrefillChunk takes its RoPE start from the
       // cache's seq_len, so the rows land at exactly positions [a, b) with
       // the same floats the original pass produced (chunked prefill is
       // bit-identical at any boundary — the house invariant).
       TZLLM_RETURN_IF_ERROR(kv->RewindFill(a));
       const Status refilled = executor_->PrefillChunk(
-          span.data(), b - a, s->per_position, kv, nullptr);
+          span.data(), b - a, kv, nullptr);
       if (!refilled.ok()) {
         Status surface = refilled;
         if (refilled.code() == ErrorCode::kDataCorruption) {
@@ -570,11 +568,6 @@ Result<SessionId> LlmTa::AdmitSession(const std::string& prompt,
   // so adoption changes TTFT, never a logit.
   const int adopted = kv_arena_->AdoptPrefix(slot, s.prompt_tokens);
   s.prefill_pos = adopted;
-  // Mirror Prefill's dispatch exactly so the chunked prompt runs the same
-  // schedule the one-shot call would have.
-  s.per_position = engine_options_.use_reference_kernels ||
-                   engine_options_.prefill_batch <= 1 ||
-                   s.prompt_tokens.size() <= 1;
   s.remaining = max_new_tokens;
   s.sampling = sampling;
   s.sampler = std::make_unique<Sampler>(sampling);
@@ -602,7 +595,7 @@ Result<bool> LlmTa::PrefillSessionChunk(SessionId sid) {
   // re-prefilled from token history and the chunk reruns.
   TZLLM_RETURN_IF_ERROR(RetryWithKvRecovery({s}, [&]() {
     return executor_->PrefillChunk(
-        s->prompt_tokens.data() + s->prefill_pos, m, s->per_position, kv,
+        s->prompt_tokens.data() + s->prefill_pos, m, kv,
         last ? s->logits.data() : nullptr);
   }));
   s->prefill_pos += m;
@@ -1076,9 +1069,6 @@ Result<SessionId> LlmTa::RestoreSessionBlob(const std::string& ckpt_id) {
   s.done = done != 0;
   s.prefilled = prefilled != 0;
   s.prefill_pos = static_cast<int>(prefill_pos);
-  s.per_position = engine_options_.use_reference_kernels ||
-                   engine_options_.prefill_batch <= 1 ||
-                   s.prompt_tokens.size() <= 1;
   s.sampling.greedy = greedy != 0;
   s.sampling.top_k = static_cast<int>(top_k);
   std::memcpy(&s.sampling.temperature, &temp_bits,

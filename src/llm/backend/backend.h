@@ -1,22 +1,21 @@
 // ComputeBackend — the seam between the transformer executor and whatever
 // hardware runs its heavyweight matmuls.
 //
-// The executor no longer calls the kernel table directly for prefill: every
-// batched-prefill matmul group routes through a ComputeBackend, so the same
-// schedule can run a chunk's QKV/FFN work on the CPU kernel pool
-// (CpuBackend) or hand it to the secure NPU behind the TEE's minimal
-// co-driver data plane (NpuBackend, paper §4.3). Decode stays on the CPU
-// KernelDispatch path by construction: the executor always owns a CpuBackend
-// and only the *prefill* seam is swappable.
+// Every matmul group of the executor's forward loop routes through a
+// ComputeBackend, so the same schedule can run a batch's QKV/FFN work on the
+// CPU kernel pool (CpuBackend) or hand it to the secure NPU behind the TEE's
+// minimal co-driver data plane (NpuBackend, paper §4.3). Decode and the LM
+// head stay on the CPU by construction: the executor always owns a
+// CpuBackend and only the *prefill* seam is swappable.
 //
 // The submission API is asynchronous: SubmitMatMatGroup/SubmitLayerTail
 // return a ticket, and the caller observes completion through Await/TryPoll
 // (or the Sync barrier). A synchronous backend (CpuBackend) executes at
 // submit time and returns the kCompletedTicket; an asynchronous backend
 // (NpuBackend) turns each submission into one fused secure NPU job and lets
-// the caller overlap its own CPU work — the executor's pipelined prefill
-// computes one chunk's attention while another chunk's fused layer job runs
-// on the NPU timeline.
+// the caller overlap its own CPU work — with two prefill batches in flight
+// the executor computes one batch's attention while the other's fused layer
+// job runs on the NPU timeline.
 //
 // Lifetime contract for asynchronous submissions: every buffer a submission
 // references — the quantized activations, the output rows, the layer-tail
@@ -57,16 +56,8 @@ class SocPlatform;
 class TeeNpuDriver;
 class ThreadPool;
 
-// One projection sharing the caller's activation row: y = W x with W a
-// Q8_0 row-major (rows x cols) matrix.
-struct MatTarget {
-  const uint8_t* w = nullptr;
-  uint64_t rows = 0;
-  float* y = nullptr;
-};
-
-// One matmul of a fused batched-prefill group; all members share the
-// group's quantized activations: y[p * rows + r] = W row r . X position p.
+// One matmul of a fused group; all members share the group's quantized
+// activations: y[p * rows + r] = W row r . X position p.
 struct MatMatOp {
   const uint8_t* w = nullptr;
   uint64_t rows = 0;
@@ -114,9 +105,11 @@ struct LayerTailOp {
 // Executes a layer tail on the host with `kernels` — the single functional
 // definition of the fused chain, shared by CpuBackend and the NPU job
 // payload so both backends compute the identical floats in the identical
-// order (and so it cannot drift from what the executor used to inline).
+// order. `reference` runs every matmul on the seed's float kernel instead
+// (EngineOptions::use_reference_kernels; see CpuBackend).
 void RunLayerTail(const LayerTailOp& op, const Q8Acts& x_attn,
-                  const KernelDispatch* kernels, ThreadPool* pool);
+                  const KernelDispatch* kernels, ThreadPool* pool,
+                  bool reference = false);
 
 // The elementwise stages between the tail's matmuls, exposed so the
 // unfused (one-job-per-matmul) NPU mode composes the exact same stage
@@ -138,12 +131,11 @@ class ComputeBackend {
 
   virtual const char* name() const = 0;
   // True when submissions may complete after the submit call returns — the
-  // executor picks the pipelined prefill schedule for such backends.
+  // executor keeps two prefill batches in flight on such backends.
   virtual bool asynchronous() const { return false; }
 
-  // Batched-prefill matmul group over pre-quantized activations `x` shared
-  // by every member op. May execute asynchronously; see the lifetime
-  // contract above.
+  // Matmul group over pre-quantized activations `x` shared by every member
+  // op. May execute asynchronously; see the lifetime contract above.
   virtual Result<BackendTicket> SubmitMatMatGroup(const MatMatOp* ops, int n,
                                                   const Q8Acts& x) = 0;
 
@@ -160,22 +152,18 @@ class ComputeBackend {
   // Non-blocking: true when Await(ticket) would return without waiting.
   virtual Result<bool> TryPoll(BackendTicket ticket) = 0;
 
-  // Single-position projections sharing one activation row `x` of `cols`
-  // floats (decode and per-position prefill). Synchronous; reference mode
-  // (EngineOptions::use_reference_kernels) is handled inside the backend so
-  // call sites are one code path.
-  virtual Status MatVec(const float* x, uint64_t cols, const MatTarget* targets,
-                        int n_targets) = 0;
-
   // Barrier: returns once every outstanding submission has completed, with
   // the first failure if any job failed.
   virtual Status Sync() = 0;
 };
 
-// Wraps the existing CPU path: reference scalar kernels or quantized
-// integer-dot kernels on the thread pool, inner loops through the SIMD table
-// the engine resolved at construction. Fully synchronous — every submit
-// executes inline and returns kCompletedTicket.
+// Wraps the CPU path: quantized integer-dot kernels on the thread pool,
+// inner loops through the SIMD table the engine resolved at construction.
+// Under EngineOptions::use_reference_kernels every matmul instead runs the
+// seed's float kernel MatVecQ8Reference per row, over the float rows the
+// activations were quantized from (Q8Acts::src) — the numerics baseline.
+// Fully synchronous — every submit executes inline and returns
+// kCompletedTicket.
 class CpuBackend : public ComputeBackend {
  public:
   // `pool` (optional) and `kernels` (nullptr = process-wide table) are owned
@@ -190,15 +178,12 @@ class CpuBackend : public ComputeBackend {
                                         const Q8Acts& x_attn) override;
   Status Await(BackendTicket /*ticket*/) override { return OkStatus(); }
   Result<bool> TryPoll(BackendTicket /*ticket*/) override { return true; }
-  Status MatVec(const float* x, uint64_t cols, const MatTarget* targets,
-                int n_targets) override;
   Status Sync() override { return OkStatus(); }
 
  private:
   bool use_reference_;
   ThreadPool* pool_;
   const KernelDispatch* kernels_;
-  Q8Acts acts_;  // Reusable single-row quantization scratch.
 };
 
 // Wiring for the secure NPU prefill path. All pointers are non-owning and
@@ -251,10 +236,10 @@ struct NpuBackendConfig {
 // over the engine's kernel table for bit-exact results). Jobs are submitted
 // through TeeNpuDriver::SubmitJob and double-buffered across kJobSlots
 // execution contexts, so preparing job n+1's context overlaps job n's
-// execution; completion is observed per ticket — the pipelined schedule
-// defers each blocking Await to its dependency point (that deferral is
-// the overlap), and TryPoll gives the non-blocking query for diagnostics
-// or poll-driven schedulers.
+// execution; completion is observed per ticket — with two batches in
+// flight the executor defers each blocking Await to its dependency point
+// (that deferral is the overlap), and TryPoll gives the non-blocking query
+// for diagnostics or poll-driven schedulers.
 // Locking: mu_ guards the in-flight ticket window (pending_), the
 // execution-context slot cursor, the ticket counter, the hybrid-timeline
 // host mark and every statistic. Critical sections are leaf-only: WaitForJob
@@ -286,11 +271,6 @@ class NpuBackend : public ComputeBackend {
       TZLLM_EXCLUDES(mu_);
   Status Await(BackendTicket ticket) override TZLLM_EXCLUDES(mu_);
   Result<bool> TryPoll(BackendTicket ticket) override TZLLM_EXCLUDES(mu_);
-  // Decode never routes here — the executor keeps its own CpuBackend for
-  // every MatVec — so this surfaces misuse as kUnimplemented instead of
-  // silently computing on a shadow CPU path.
-  Status MatVec(const float* x, uint64_t cols, const MatTarget* targets,
-                int n_targets) override;
   Status Sync() override TZLLM_EXCLUDES(mu_);
 
   uint64_t jobs_submitted() const TZLLM_EXCLUDES(mu_) {

@@ -6,6 +6,24 @@
 
 namespace tzllm {
 
+namespace {
+
+// y = W X over the x.m rows of `x`: MatMatQ8, or with `reference` the seed
+// kernel per row over the float rows `x` was quantized from.
+void RowsMatMat(const uint8_t* w, uint64_t rows, const Q8Acts& x, float* y,
+                ThreadPool* pool, const KernelDispatch* kernels,
+                bool reference) {
+  if (!reference) {
+    MatMatQ8(w, rows, x.cols, x, y, pool, kernels);
+    return;
+  }
+  for (uint64_t p = 0; p < x.m; ++p) {
+    MatVecQ8Reference(w, rows, x.cols, x.src + p * x.cols, y + p * rows);
+  }
+}
+
+}  // namespace
+
 void LayerTailProjResidualNormQuant(const LayerTailOp& op,
                                     const KernelDispatch* kernels) {
   const uint64_t d = static_cast<uint64_t>(op.d_model);
@@ -37,17 +55,18 @@ void LayerTailDownResidual(const LayerTailOp& op) {
 }
 
 void RunLayerTail(const LayerTailOp& op, const Q8Acts& x_attn,
-                  const KernelDispatch* kernels, ThreadPool* pool) {
+                  const KernelDispatch* kernels, ThreadPool* pool,
+                  bool reference) {
   const uint64_t d = static_cast<uint64_t>(op.d_model);
   const uint64_t ff = static_cast<uint64_t>(op.d_ff);
   // x_attn is consumed by the Wo matmul before the first requantization
   // below may overwrite an aliased op.acts.
-  MatMatQ8(op.wo, d, d, x_attn, op.proj, pool, kernels);
+  RowsMatMat(op.wo, d, x_attn, op.proj, pool, kernels, reference);
   LayerTailProjResidualNormQuant(op, kernels);
-  MatMatQ8(op.w_gate, ff, d, *op.acts, op.gate, pool, kernels);
-  MatMatQ8(op.w_up, ff, d, *op.acts, op.up, pool, kernels);
+  RowsMatMat(op.w_gate, ff, *op.acts, op.gate, pool, kernels, reference);
+  RowsMatMat(op.w_up, ff, *op.acts, op.up, pool, kernels, reference);
   LayerTailSwiGluQuant(op);
-  MatMatQ8(op.w_down, d, ff, *op.acts, op.down, pool, kernels);
+  RowsMatMat(op.w_down, d, *op.acts, op.down, pool, kernels, reference);
   LayerTailDownResidual(op);
 }
 
@@ -60,34 +79,16 @@ CpuBackend::CpuBackend(const EngineOptions& options, ThreadPool* pool,
 Result<BackendTicket> CpuBackend::SubmitMatMatGroup(const MatMatOp* ops, int n,
                                                     const Q8Acts& x) {
   for (int i = 0; i < n; ++i) {
-    MatMatQ8(ops[i].w, ops[i].rows, x.cols, x, ops[i].y, pool_, kernels_);
+    RowsMatMat(ops[i].w, ops[i].rows, x, ops[i].y, pool_, kernels_,
+               use_reference_);
   }
   return kCompletedTicket;
 }
 
 Result<BackendTicket> CpuBackend::SubmitLayerTail(const LayerTailOp& op,
                                                   const Q8Acts& x_attn) {
-  RunLayerTail(op, x_attn, kernels_, pool_);
+  RunLayerTail(op, x_attn, kernels_, pool_, use_reference_);
   return kCompletedTicket;
-}
-
-Status CpuBackend::MatVec(const float* x, uint64_t cols,
-                          const MatTarget* targets, int n_targets) {
-  if (use_reference_) {
-    // The seed's scalar float-activation path — the one reference code path
-    // that used to be scattered as per-call-site branches in the executor.
-    for (int i = 0; i < n_targets; ++i) {
-      MatVecQ8Reference(targets[i].w, targets[i].rows, cols, x, targets[i].y);
-    }
-    return OkStatus();
-  }
-  // One activation quantization feeds every projection in the group.
-  acts_.Quantize(x, cols);
-  for (int i = 0; i < n_targets; ++i) {
-    MatVecQ8Pre(targets[i].w, targets[i].rows, cols, acts_, targets[i].y,
-                pool_, kernels_);
-  }
-  return OkStatus();
 }
 
 }  // namespace tzllm

@@ -13,12 +13,12 @@
 // Durations are priced by CostModel::NpuFusedJobTime; the functional
 // payload runs the same host helpers (MatMatQ8 / layer-tail stages) over
 // the engine's kernel table, so the offloaded result is bit-identical to
-// the CPU path. Completion is per job: the executor's pipelined prefill
-// defers each blocking Await to the true dependency point, computing
-// another chunk's attention on the CPU while jobs run on the (simulated)
-// NPU timeline (TryPoll/TryPollJob expose the matching non-blocking query
-// for diagnostics and poll-driven schedulers). With hybrid_timeline on,
-// the backend charges
+// the CPU path. Completion is per job: with two prefill batches in flight
+// the executor defers each blocking Await to the true dependency point,
+// computing one batch's attention on the CPU while jobs run on the
+// (simulated) NPU timeline (TryPoll/TryPollJob expose the matching
+// non-blocking query for diagnostics and poll-driven schedulers). With
+// hybrid_timeline on, the backend charges
 // the host's measured wall time between backend calls to the simulator
 // clock, so the virtual prefill makespan composes real CPU segments with
 // modeled NPU execution — overlap and pipeline bubbles both show up in one
@@ -546,17 +546,6 @@ Result<bool> NpuBackend::TryPoll(BackendTicket ticket) {
     }
   }
   return true;
-}
-
-Status NpuBackend::MatVec(const float* x, uint64_t cols,
-                          const MatTarget* targets, int n_targets) {
-  (void)x;
-  (void)cols;
-  (void)targets;
-  (void)n_targets;
-  return Status(ErrorCode::kUnimplemented,
-                "NpuBackend handles batched-prefill submissions only; "
-                "single-position MatVec belongs on the CPU backend");
 }
 
 Status NpuBackend::Sync() {

@@ -15,6 +15,16 @@ namespace {
 // kernels' threshold in tensor.cc.
 constexpr uint64_t kAttnParallelMinWork = 48 * 1024;
 
+// End of the run of rows that share rows[i]'s KV cache.
+template <typename Row>
+int RunEnd(const Row* rows, int i, int n) {
+  int j = i + 1;
+  while (j < n && rows[j].kv == rows[i].kv) {
+    ++j;
+  }
+  return j;
+}
+
 }  // namespace
 
 void RmsNorm(const float* x, const float* gain, float* out, int n) {
@@ -68,8 +78,16 @@ TransformerExecutor::TransformerExecutor(const ModelSpec* spec,
     pool_ = std::make_unique<ThreadPool>(n_threads_);
   }
   cpu_backend_ = std::make_unique<CpuBackend>(options_, pool_.get(), kernels_);
+  // The NPU payloads run quantized kernels only, so a reference engine keeps
+  // its prefill on the CPU instead of mixing numerics.
   prefill_backend_ =
-      prefill_backend != nullptr ? prefill_backend : cpu_backend_.get();
+      prefill_backend != nullptr && !options_.use_reference_kernels
+          ? prefill_backend
+          : cpu_backend_.get();
+  // One attention-scores row per pool part: each (position, head) work item
+  // fully rewrites its part's row before reading it.
+  scores_.resize(static_cast<size_t>(std::max(1, n_threads_)) *
+                 std::max(0, spec->config().max_ctx));
 }
 
 Result<const uint8_t*> TransformerExecutor::Weights(TensorRole role,
@@ -92,41 +110,13 @@ void TransformerExecutor::Rope(float* vec, int n_heads, int pos) const {
   }
 }
 
-void TransformerExecutor::EnsureWorkspace(int m) {
-  if (m <= workspace_m_) {
-    return;
-  }
-  const LlmConfig& c = spec_->config();
-  const size_t d = c.d_model, kv = c.kv_dim(), ff = c.d_ff;
-  hiddens_.resize(m * d);
-  norm_.resize(m * d);
-  q_.resize(m * d);
-  k_.resize(m * kv);
-  v_.resize(m * kv);
-  attn_.resize(m * d);
-  proj_.resize(m * d);
-  gate_.resize(m * ff);
-  up_.resize(m * ff);
-  down_.resize(m * d);
-  // One attention-scores row per pool part (each (position, head) work item
-  // fully rewrites its part's row before reading it), independent of m.
-  scores_.resize(static_cast<size_t>(std::max(1, n_threads_)) * c.max_ctx);
-  workspace_m_ = m;
-}
-
 Status TransformerExecutor::EmbedToken(TokenId token, float* hidden) {
   const LlmConfig& c = spec_->config();
-  if (token < 0 || token >= c.vocab_size) {
-    return InvalidArgument("token out of vocabulary");
-  }
-  auto embd = Weights(TensorRole::kTokEmbedding, -1);
-  if (!embd.ok()) {
-    return embd.status();
-  }
+  TZLLM_ASSIGN_OR_RETURN(embd, Weights(TensorRole::kTokEmbedding, -1));
   // Row `token` of the Q8_0 embedding matrix.
   const uint64_t row_blocks = c.d_model / kQ8BlockElems;
-  const uint8_t* row = *embd + static_cast<uint64_t>(token) * row_blocks *
-                                   kQ8BlockBytes;
+  const uint8_t* row =
+      embd + static_cast<uint64_t>(token) * row_blocks * kQ8BlockBytes;
   DequantizeQ8(row, c.d_model, hidden);
   return OkStatus();
 }
@@ -157,52 +147,45 @@ void TransformerExecutor::Attend(int layer, int start, int m, const float* q,
       const int kv_head = h / group;
       const float* qh = q + static_cast<size_t>(i) * d + h * head_dim;
       const size_t head_off = static_cast<size_t>(kv_head) * head_dim;
-      // Cache rows are contiguous in runs of RunLen(p) positions per plane
-      // (one max_ctx run in flat mode, one page in paged mode); the walk
-      // hops bases between runs but visits positions — and accumulates
-      // floats — in exactly the flat order, so paging never moves a float.
-      // The caller holds a step pin, so every page base stays valid across
-      // this parallel region.
+      // Visits the cached rows [0, pos] of one plane, contiguous in runs of
+      // RunLen(p) positions (all of max_ctx flat, one page paged): it hops
+      // bases between runs but visits positions — and accumulates floats —
+      // in the flat order, so paging never moves a float. The caller's step
+      // pin keeps every page base valid across this parallel region.
+      auto walk = [&](auto row_at, auto visit) {
+        for (int p = 0; p <= pos;) {
+          const int run = std::min(kv.RunLen(p), pos + 1 - p);
+          auto* row = row_at(p) + head_off;
+          for (int r = 0; r < run; ++r, row += kv_dim) {
+            visit(p + r, row);
+          }
+          p += run;
+        }
+      };
       if (f16) {
-        for (int p = 0; p <= pos;) {
-          const int run = std::min(kv.RunLen(p), pos + 1 - p);
-          const uint16_t* kp = kv.KeyHalfAt(layer, p) + head_off;
-          for (int r = 0; r < run; ++r, kp += kv_dim) {
-            scores[p + r] = kernels_->dot_qk_f16(qh, kp, head_dim) * scale;
-          }
-          p += run;
-        }
+        walk([&](int p) { return kv.KeyHalfAt(layer, p); },
+             [&](int p, const uint16_t* k) {
+               scores[p] = kernels_->dot_qk_f16(qh, k, head_dim) * scale;
+             });
       } else {
-        for (int p = 0; p <= pos;) {
-          const int run = std::min(kv.RunLen(p), pos + 1 - p);
-          const float* kp = kv.KeyAt(layer, p) + head_off;
-          for (int r = 0; r < run; ++r, kp += kv_dim) {
-            scores[p + r] = kernels_->dot_qk_f32(qh, kp, head_dim) * scale;
-          }
-          p += run;
-        }
+        walk([&](int p) { return kv.KeyAt(layer, p); },
+             [&](int p, const float* k) {
+               scores[p] = kernels_->dot_qk_f32(qh, k, head_dim) * scale;
+             });
       }
       kernels_->softmax(scores, pos + 1);
       float* oh = out + static_cast<size_t>(i) * d + h * head_dim;
       std::fill(oh, oh + head_dim, 0.0f);
       if (f16) {
-        for (int p = 0; p <= pos;) {
-          const int run = std::min(kv.RunLen(p), pos + 1 - p);
-          const uint16_t* vp = kv.ValueHalfAt(layer, p) + head_off;
-          for (int r = 0; r < run; ++r, vp += kv_dim) {
-            kernels_->axpy_f16(scores[p + r], vp, oh, head_dim);
-          }
-          p += run;
-        }
+        walk([&](int p) { return kv.ValueHalfAt(layer, p); },
+             [&](int p, const uint16_t* v) {
+               kernels_->axpy_f16(scores[p], v, oh, head_dim);
+             });
       } else {
-        for (int p = 0; p <= pos;) {
-          const int run = std::min(kv.RunLen(p), pos + 1 - p);
-          const float* vp = kv.ValueAt(layer, p) + head_off;
-          for (int r = 0; r < run; ++r, vp += kv_dim) {
-            kernels_->axpy_f32(scores[p + r], vp, oh, head_dim);
-          }
-          p += run;
-        }
+        walk([&](int p) { return kv.ValueAt(layer, p); },
+             [&](int p, const float* v) {
+               kernels_->axpy_f32(scores[p], v, oh, head_dim);
+             });
       }
     }
   };
@@ -235,453 +218,270 @@ void TransformerExecutor::Attend(int layer, int start, int m, const float* q,
   }
 }
 
-Status TransformerExecutor::ForwardPosition(float* hidden, int pos,
-                                            KvCache* kv) {
+Status TransformerExecutor::CheckRows(const Row* rows, int n) {
   const LlmConfig& c = spec_->config();
-  const int d = c.d_model;
-  const int kv_dim = c.kv_dim();
-  EnsureWorkspace(1);
-  // Paged caches: restore any spilled page and hold everything resident for
-  // the position (appends mid-loop allocate born-pinned pages).
-  TZLLM_ASSIGN_OR_RETURN(step_pin, kv->PinForStep());
-  (void)step_pin;
-
-  for (int l = 0; l < c.n_layers; ++l) {
-    // --- Attention block. ---
-    TZLLM_ASSIGN_OR_RETURN(w_norm, Weights(TensorRole::kAttnNorm, l));
-    kernels_->rms_norm(hidden, reinterpret_cast<const float*>(w_norm),
-                       norm_.data(), d);
-
-    TZLLM_ASSIGN_OR_RETURN(wq, Weights(TensorRole::kWq, l));
-    TZLLM_ASSIGN_OR_RETURN(wk, Weights(TensorRole::kWk, l));
-    TZLLM_ASSIGN_OR_RETURN(wv, Weights(TensorRole::kWv, l));
-    const MatTarget qkv[] = {
-        {wq, static_cast<uint64_t>(d), q_.data()},
-        {wk, static_cast<uint64_t>(kv_dim), k_.data()},
-        {wv, static_cast<uint64_t>(kv_dim), v_.data()}};
-    TZLLM_RETURN_IF_ERROR(cpu_backend_->MatVec(norm_.data(), d, qkv, 3));
-
-    Rope(q_.data(), c.n_heads, pos);
-    Rope(k_.data(), c.n_kv_heads, pos);
-    TZLLM_RETURN_IF_ERROR(kv->Append(l, k_.data(), v_.data()));
-
-    Attend(l, pos, /*m=*/1, q_.data(), attn_.data(), *kv);
-
-    TZLLM_ASSIGN_OR_RETURN(wo, Weights(TensorRole::kWo, l));
-    const MatTarget proj[] = {{wo, static_cast<uint64_t>(d), proj_.data()}};
-    TZLLM_RETURN_IF_ERROR(cpu_backend_->MatVec(attn_.data(), d, proj, 1));
-    for (int i = 0; i < d; ++i) {
-      hidden[i] += proj_[i];
+  for (int i = 0, j; i < n; i = j) {
+    const KvCache* kv = rows[i].kv;
+    j = RunEnd(rows, i, n);
+    if (std::any_of(rows, rows + i, [&](const Row& r) { return r.kv == kv; })) {
+      return InvalidArgument("rows of one KV cache must be adjacent");
     }
-
-    // --- FFN block (SwiGLU). ---
-    TZLLM_ASSIGN_OR_RETURN(w_ffn_norm, Weights(TensorRole::kFfnNorm, l));
-    kernels_->rms_norm(hidden, reinterpret_cast<const float*>(w_ffn_norm),
-                       norm_.data(), d);
-
-    TZLLM_ASSIGN_OR_RETURN(w_gate, Weights(TensorRole::kWGate, l));
-    TZLLM_ASSIGN_OR_RETURN(w_up, Weights(TensorRole::kWUp, l));
-    TZLLM_ASSIGN_OR_RETURN(w_down, Weights(TensorRole::kWDown, l));
-    const MatTarget gate_up[] = {
-        {w_gate, static_cast<uint64_t>(c.d_ff), gate_.data()},
-        {w_up, static_cast<uint64_t>(c.d_ff), up_.data()}};
-    TZLLM_RETURN_IF_ERROR(cpu_backend_->MatVec(norm_.data(), d, gate_up, 2));
-    for (int i = 0; i < c.d_ff; ++i) {
-      const float g = gate_[i];
-      const float silu = g / (1.0f + std::exp(-g));
-      gate_[i] = silu * up_[i];
+    for (int r = i; r < j; ++r) {
+      if (rows[r].pos != kv->seq_len() + (r - i)) {
+        return InvalidArgument(
+            "rows of one KV cache must be consecutive from its seq_len()");
+      }
+      if (rows[r].token < 0 || rows[r].token >= c.vocab_size) {
+        return InvalidArgument("token out of vocabulary");
+      }
     }
-    const MatTarget down[] = {{w_down, static_cast<uint64_t>(d), down_.data()}};
-    TZLLM_RETURN_IF_ERROR(cpu_backend_->MatVec(gate_.data(), c.d_ff, down, 1));
-    for (int i = 0; i < d; ++i) {
-      hidden[i] += down_[i];
+    if (kv->seq_len() + (j - i) > c.max_ctx) {
+      return ResourceExhausted("KV cache full (context length exceeded)");
     }
   }
-  kv->FinishPosition();
   return OkStatus();
 }
 
-Status TransformerExecutor::ForwardChunk(const TokenId* tokens, int m,
-                                         KvCache* kv) {
+void TransformerExecutor::Reserve(RowBatch* b, int m) {
+  if (m <= b->capacity) {
+    return;
+  }
+  const LlmConfig& c = spec_->config();
+  const size_t rows = m, d = c.d_model, kv = c.kv_dim(), ff = c.d_ff;
+  for (std::vector<float>* buf :
+       {&b->hiddens, &b->norm, &b->q, &b->attn, &b->proj, &b->down}) {
+    buf->resize(rows * d);
+  }
+  b->k.resize(rows * kv);
+  b->v.resize(rows * kv);
+  b->gate.resize(rows * ff);
+  b->up.resize(rows * ff);
+  b->capacity = m;
+}
+
+Status TransformerExecutor::Advance(RowBatch* b, ComputeBackend* backend) {
   const LlmConfig& c = spec_->config();
   const int d = c.d_model;
   const int kv_dim = c.kv_dim();
-  const int start = kv->seq_len();
-  if (start + m > c.max_ctx) {
-    return ResourceExhausted("KV cache full (context length exceeded)");
-  }
-  EnsureWorkspace(m);
-  TZLLM_ASSIGN_OR_RETURN(step_pin, kv->PinForStep());
-  (void)step_pin;
-  // Every heavyweight matmul of the chunk goes through the backend seam as
-  // a grouped submission; the submit+Await pairs here make this the serial
-  // schedule (the pipelined one lives in ForwardPromptPipelined).
-  ComputeBackend* backend = prefill_backend_;
+  const int m = b->m;
+  const int l = b->layer;
 
-  for (int i = 0; i < m; ++i) {
-    TZLLM_RETURN_IF_ERROR(EmbedToken(tokens[i], hiddens_.data() + i * d));
-  }
-
-  for (int l = 0; l < c.n_layers; ++l) {
-    // --- Attention block, all m positions per weight pass. ---
+  if (!b->attend_next) {
+    // Stage A. The previous layer's tail must have landed in hiddens before
+    // the norm reads it; while we waited (and while we norm and quantize
+    // here) the other batch's jobs run on the backend's timeline.
+    TZLLM_RETURN_IF_ERROR(backend->Await(b->tail_ticket));
+    b->tail_ticket = kCompletedTicket;
     TZLLM_ASSIGN_OR_RETURN(w_norm, Weights(TensorRole::kAttnNorm, l));
     for (int i = 0; i < m; ++i) {
-      kernels_->rms_norm(hiddens_.data() + i * d,
+      kernels_->rms_norm(b->hiddens.data() + i * d,
                          reinterpret_cast<const float*>(w_norm),
-                         norm_.data() + i * d, d);
+                         b->norm.data() + i * d, d);
     }
-    acts_.QuantizeRows(norm_.data(), m, d);
-
+    b->acts.QuantizeRows(b->norm.data(), m, d);
     TZLLM_ASSIGN_OR_RETURN(wq, Weights(TensorRole::kWq, l));
     TZLLM_ASSIGN_OR_RETURN(wk, Weights(TensorRole::kWk, l));
     TZLLM_ASSIGN_OR_RETURN(wv, Weights(TensorRole::kWv, l));
     const MatMatOp qkv[] = {
-        {wq, static_cast<uint64_t>(d), q_.data()},
-        {wk, static_cast<uint64_t>(kv_dim), k_.data()},
-        {wv, static_cast<uint64_t>(kv_dim), v_.data()}};
-    TZLLM_ASSIGN_OR_RETURN(qkv_ticket,
-                           backend->SubmitMatMatGroup(qkv, 3, acts_));
-    TZLLM_RETURN_IF_ERROR(backend->Await(qkv_ticket));
-
-    for (int i = 0; i < m; ++i) {
-      Rope(q_.data() + i * d, c.n_heads, start + i);
-      Rope(k_.data() + i * kv_dim, c.n_kv_heads, start + i);
-    }
-    TZLLM_RETURN_IF_ERROR(kv->AppendBatch(l, m, k_.data(), v_.data()));
-
-    // The whole chunk's attention is one fused call: every (position, head)
-    // pair is independent once the chunk's K/V rows are in the cache;
-    // causality is the p <= pos bound inside Attend.
-    Attend(l, start, m, q_.data(), attn_.data(), *kv);
-
-    // --- Post-attention segment (Wo + residual + FFN), one fused
-    // submission. ---
-    acts_.QuantizeRows(attn_.data(), m, d);
-    TZLLM_ASSIGN_OR_RETURN(
-        tail, BuildLayerTail(l, m, hiddens_.data(), proj_.data(),
-                             norm_.data(), gate_.data(), up_.data(),
-                             down_.data(), &acts_));
-    TZLLM_ASSIGN_OR_RETURN(tail_ticket, backend->SubmitLayerTail(tail, acts_));
-    TZLLM_RETURN_IF_ERROR(backend->Await(tail_ticket));
+        {wq, static_cast<uint64_t>(d), b->q.data()},
+        {wk, static_cast<uint64_t>(kv_dim), b->k.data()},
+        {wv, static_cast<uint64_t>(kv_dim), b->v.data()}};
+    TZLLM_ASSIGN_OR_RETURN(ticket, backend->SubmitMatMatGroup(qkv, 3, b->acts));
+    b->qkv_ticket = ticket;
+    b->attend_next = true;
+    return OkStatus();
   }
-  kv->FinishPositions(m);
-  return OkStatus();
-}
 
-Result<LayerTailOp> TransformerExecutor::BuildLayerTail(
-    int l, int m, float* hiddens, float* proj, float* norm, float* gate,
-    float* up, float* down, Q8Acts* acts) {
-  const LlmConfig& c = spec_->config();
+  // Stage B. Each row rotates at its own position; each run of rows sharing
+  // a cache appends its K/V rows and attends in one fused call (causality is
+  // the p <= pos bound inside Attend). A row only ever reads its own cache,
+  // so batching never mixes sessions or moves a float.
+  TZLLM_RETURN_IF_ERROR(backend->Await(b->qkv_ticket));
+  b->qkv_ticket = kCompletedTicket;
+  for (int i = 0; i < m; ++i) {
+    Rope(b->q.data() + i * d, c.n_heads, b->rows[i].pos);
+    Rope(b->k.data() + i * kv_dim, c.n_kv_heads, b->rows[i].pos);
+  }
+  for (int i = 0, j; i < m; i = j) {
+    j = RunEnd(b->rows, i, m);
+    KvCache* kv = b->rows[i].kv;
+    TZLLM_RETURN_IF_ERROR(kv->AppendBatch(l, j - i, b->k.data() + i * kv_dim,
+                                          b->v.data() + i * kv_dim));
+    Attend(l, b->rows[i].pos, j - i, b->q.data() + i * d,
+           b->attn.data() + i * d, *kv);
+  }
+
+  // The post-attention segment (Wo + residual + FFN) as one fused
+  // submission; the requantization scratch aliases the attention
+  // activations, which the Wo matmul consumes first.
+  b->acts.QuantizeRows(b->attn.data(), m, d);
   TZLLM_ASSIGN_OR_RETURN(wo, Weights(TensorRole::kWo, l));
   TZLLM_ASSIGN_OR_RETURN(w_ffn_norm, Weights(TensorRole::kFfnNorm, l));
   TZLLM_ASSIGN_OR_RETURN(w_gate, Weights(TensorRole::kWGate, l));
   TZLLM_ASSIGN_OR_RETURN(w_up, Weights(TensorRole::kWUp, l));
   TZLLM_ASSIGN_OR_RETURN(w_down, Weights(TensorRole::kWDown, l));
-  LayerTailOp tail;
-  tail.m = m;
-  tail.d_model = c.d_model;
-  tail.d_ff = c.d_ff;
-  tail.wo = wo;
-  tail.ffn_norm_gain = reinterpret_cast<const float*>(w_ffn_norm);
-  tail.w_gate = w_gate;
-  tail.w_up = w_up;
-  tail.w_down = w_down;
-  tail.hiddens = hiddens;
-  tail.proj = proj;
-  tail.norm = norm;
-  tail.gate = gate;
-  tail.up = up;
-  tail.down = down;
-  tail.acts = acts;
-  return tail;
-}
-
-Status TransformerExecutor::PipeAdmit(PipeChunk* ch, int index, int start,
-                                      const TokenId* tokens, int m) {
-  const LlmConfig& c = spec_->config();
-  const size_t d = c.d_model;
-  // Buffers are sized up front by ForwardPromptPipelined, never here: the
-  // OTHER slot's in-flight jobs hold raw pointers into its vectors (the
-  // zero-copy contract), so admission must not reallocate anything.
-  if (m > pipe_m_) {
-    return Internal("pipeline slot admitted a chunk larger than its sizing");
-  }
-  ch->index = index;
-  ch->start = start;
-  ch->m = m;
-  ch->layer = 0;
-  ch->attend_next = false;
-  ch->qkv_ticket = kCompletedTicket;
-  ch->tail_ticket = kCompletedTicket;
-  for (int i = 0; i < m; ++i) {
-    TZLLM_RETURN_IF_ERROR(
-        EmbedToken(tokens[i], ch->hiddens.data() + i * static_cast<int>(d)));
-  }
+  const LayerTailOp tail{m, d, c.d_ff, wo,
+                         reinterpret_cast<const float*>(w_ffn_norm), w_gate,
+                         w_up, w_down, b->hiddens.data(), b->proj.data(),
+                         b->norm.data(), b->gate.data(), b->up.data(),
+                         b->down.data(), &b->acts};
+  TZLLM_ASSIGN_OR_RETURN(ticket, backend->SubmitLayerTail(tail, b->acts));
+  b->tail_ticket = ticket;
+  b->attend_next = false;
+  ++b->layer;
   return OkStatus();
 }
 
-Status TransformerExecutor::PipeAdvance(PipeChunk* ch, KvCache* kv) {
+Status TransformerExecutor::Retire(RowBatch* b, ComputeBackend* backend) {
+  TZLLM_RETURN_IF_ERROR(backend->Await(b->tail_ticket));
+  b->tail_ticket = kCompletedTicket;
+  for (int i = 0, j; i < b->m; i = j) {
+    j = RunEnd(b->rows, i, b->m);
+    b->rows[i].kv->FinishPositions(j - i);
+  }
+
+  // One LM-head pass over the rows that asked for logits: norm them,
+  // quantize them together and stream the vocabulary weights once. Each row
+  // norms, quantizes and dots independently, so the pass is bit-identical
+  // to a per-row head.
   const LlmConfig& c = spec_->config();
   const int d = c.d_model;
-  const int kv_dim = c.kv_dim();
-  ComputeBackend* backend = prefill_backend_;
-  const int l = ch->layer;
-
-  if (!ch->attend_next) {
-    // S0: the previous layer's tail must have landed in hiddens before the
-    // attention norm reads it. While we waited (and while we norm +
-    // quantize here), the other chunk's jobs run on the NPU timeline.
-    TZLLM_RETURN_IF_ERROR(backend->Await(ch->tail_ticket));
-    ch->tail_ticket = kCompletedTicket;
-    TZLLM_ASSIGN_OR_RETURN(w_norm, Weights(TensorRole::kAttnNorm, l));
-    for (int i = 0; i < ch->m; ++i) {
-      kernels_->rms_norm(ch->hiddens.data() + i * d,
-                         reinterpret_cast<const float*>(w_norm),
-                         ch->norm.data() + i * d, d);
+  const size_t vocab = c.vocab_size;
+  TZLLM_ASSIGN_OR_RETURN(w_out_norm, Weights(TensorRole::kOutputNorm, -1));
+  TZLLM_ASSIGN_OR_RETURN(w_head, Weights(TensorRole::kLmHead, -1));
+  int k = 0;
+  float* out = nullptr;
+  for (int i = 0; i < b->m; ++i) {
+    if (b->rows[i].logits != nullptr) {
+      kernels_->rms_norm(b->hiddens.data() + i * d,
+                         reinterpret_cast<const float*>(w_out_norm),
+                         b->norm.data() + k++ * d, d);
+      out = b->rows[i].logits;
     }
-    ch->qkv_acts.QuantizeRows(ch->norm.data(), ch->m, d);
-    TZLLM_ASSIGN_OR_RETURN(wq, Weights(TensorRole::kWq, l));
-    TZLLM_ASSIGN_OR_RETURN(wk, Weights(TensorRole::kWk, l));
-    TZLLM_ASSIGN_OR_RETURN(wv, Weights(TensorRole::kWv, l));
-    const MatMatOp qkv[] = {
-        {wq, static_cast<uint64_t>(d), ch->q.data()},
-        {wk, static_cast<uint64_t>(kv_dim), ch->k.data()},
-        {wv, static_cast<uint64_t>(kv_dim), ch->v.data()}};
-    TZLLM_ASSIGN_OR_RETURN(ticket,
-                           backend->SubmitMatMatGroup(qkv, 3, ch->qkv_acts));
-    ch->qkv_ticket = ticket;
-    ch->attend_next = true;
+  }
+  if (k == 0) {
     return OkStatus();
   }
-
-  // S1: QKV landed; RoPE + KV append + attention on the CPU, then the whole
-  // post-attention segment as one fused job. The cross-chunk dependency —
-  // this chunk's attention reads every earlier chunk's KV rows at this
-  // layer — holds because the wavefront advances chunks in order within
-  // each layer.
-  TZLLM_RETURN_IF_ERROR(backend->Await(ch->qkv_ticket));
-  ch->qkv_ticket = kCompletedTicket;
-  for (int i = 0; i < ch->m; ++i) {
-    Rope(ch->q.data() + i * d, c.n_heads, ch->start + i);
-    Rope(ch->k.data() + i * kv_dim, c.n_kv_heads, ch->start + i);
+  b->acts.QuantizeRows(b->norm.data(), k, d);
+  if (k > 1) {
+    // Several rows: MatMat writes them contiguously, then they scatter.
+    logits_rows_.resize(k * vocab);
+    out = logits_rows_.data();
   }
-  TZLLM_RETURN_IF_ERROR(
-      kv->AppendBatch(l, ch->m, ch->k.data(), ch->v.data()));
-  Attend(l, ch->start, ch->m, ch->q.data(), ch->attn.data(), *kv);
-
-  ch->attn_acts.QuantizeRows(ch->attn.data(), ch->m, d);
-  TZLLM_ASSIGN_OR_RETURN(
-      tail, BuildLayerTail(l, ch->m, ch->hiddens.data(), ch->proj.data(),
-                           ch->norm.data(), ch->gate.data(), ch->up.data(),
-                           ch->down.data(), &ch->attn_acts));
+  const MatMatOp lm[] = {{w_head, vocab, out}};
   TZLLM_ASSIGN_OR_RETURN(ticket,
-                         backend->SubmitLayerTail(tail, ch->attn_acts));
-  ch->tail_ticket = ticket;
-  ch->attend_next = false;
-  ++ch->layer;
+                         cpu_backend_->SubmitMatMatGroup(lm, 1, b->acts));
+  TZLLM_RETURN_IF_ERROR(cpu_backend_->Await(ticket));
+  for (int i = 0, r = 0; k > 1 && i < b->m; ++i) {
+    if (b->rows[i].logits != nullptr) {
+      std::memcpy(b->rows[i].logits, out + r++ * vocab, sizeof(float) * vocab);
+    }
+  }
   return OkStatus();
 }
 
-Result<std::vector<float>> TransformerExecutor::ForwardPromptPipelined(
-    const std::vector<TokenId>& tokens, KvCache* kv) {
-  const LlmConfig& c = spec_->config();
-  const size_t chunk = static_cast<size_t>(std::max(1, options_.prefill_batch));
-  const int base = kv->seq_len();
-  if (base + static_cast<int>(tokens.size()) > c.max_ctx) {
-    return Status(ErrorCode::kResourceExhausted,
-                  "KV cache full (context length exceeded)");
+Status TransformerExecutor::Forward(const Row* rows, int n, int batch_rows,
+                                    ComputeBackend* backend) {
+  TZLLM_RETURN_IF_ERROR(init_status_);
+  TZLLM_RETURN_IF_ERROR(CheckRows(rows, n));
+  // Pin every cache for the whole run: appends interleave across caches and
+  // batches, and an unpinned page could otherwise be evicted between one
+  // run's append and another's attend.
+  std::vector<KvCachePin> pins;
+  for (int i = 0; i < n; i = RunEnd(rows, i, n)) {
+    TZLLM_ASSIGN_OR_RETURN(pin, rows[i].kv->PinForStep());
+    pins.push_back(std::move(pin));
   }
-  EnsureWorkspace(1);  // Attention scratch (scores_) and the logits path.
-  // One pin spans the whole wavefront: chunk attentions read earlier
-  // chunks' pages while later chunks append, so nothing may move.
-  TZLLM_ASSIGN_OR_RETURN(step_pin, kv->PinForStep());
-  (void)step_pin;
-  const int n_chunks =
-      static_cast<int>((tokens.size() + chunk - 1) / chunk);
-  // Size the slots the wavefront will actually occupy (a single-chunk
-  // prompt never touches the second one) for the largest chunk BEFORE it
-  // starts: once jobs are in flight they hold raw pointers into these
-  // vectors, so no admission may reallocate them (PipeAdmit enforces
-  // this).
-  const int m_max = static_cast<int>(std::min(chunk, tokens.size()));
-  const int slots_needed = std::min(2, n_chunks);
-  if (m_max > pipe_m_ || slots_needed > pipe_slots_) {
-    const size_t d = c.d_model, kvd = c.kv_dim(), ff = c.d_ff;
-    const size_t m_new = static_cast<size_t>(std::max(m_max, pipe_m_));
-    const int n_size = std::max(slots_needed, pipe_slots_);
-    for (int s = 0; s < n_size; ++s) {
-      PipeChunk& slot = pipe_[s];
-      slot.hiddens.resize(m_new * d);
-      slot.norm.resize(m_new * d);
-      slot.q.resize(m_new * d);
-      slot.k.resize(m_new * kvd);
-      slot.v.resize(m_new * kvd);
-      slot.attn.resize(m_new * d);
-      slot.proj.resize(m_new * d);
-      slot.gate.resize(m_new * ff);
-      slot.up.resize(m_new * ff);
-      slot.down.resize(m_new * d);
-    }
-    pipe_m_ = static_cast<int>(m_new);
-    pipe_slots_ = n_size;
+  // Every slot in use is sized before the first submission: in-flight jobs
+  // hold raw pointers into the other slot's buffers.
+  const int depth = backend->asynchronous() && n > batch_rows ? 2 : 1;
+  for (int s = 0; s < depth; ++s) {
+    Reserve(&batches_[s], std::min(batch_rows, n));
   }
 
-  // Run the wavefront; on any error the backend is drained before
-  // returning so no in-flight job writes through freed state.
-  auto run = [&]() -> Result<PipeChunk*> {
-    int next_chunk = 0;
-    PipeChunk* last = nullptr;
-    std::vector<PipeChunk*> active;
-    auto admit = [&](PipeChunk* slot) -> Status {
-      const size_t off = static_cast<size_t>(next_chunk) * chunk;
-      const int m =
-          static_cast<int>(std::min(chunk, tokens.size() - off));
-      TZLLM_RETURN_IF_ERROR(PipeAdmit(slot, next_chunk,
-                                      base + static_cast<int>(off),
-                                      tokens.data() + off, m));
-      active.push_back(slot);
-      ++next_chunk;
+  auto run = [&]() -> Status {
+    RowBatch* active[2] = {};
+    int n_active = 0;
+    int next = 0;
+    auto admit = [&](RowBatch* b) -> Status {
+      b->rows = rows + next;
+      b->m = std::min(batch_rows, n - next);
+      b->layer = 0;
+      b->attend_next = false;
+      b->qkv_ticket = b->tail_ticket = kCompletedTicket;
+      for (int i = 0; i < b->m; ++i) {
+        TZLLM_RETURN_IF_ERROR(EmbedToken(
+            b->rows[i].token, b->hiddens.data() + i * spec_->config().d_model));
+      }
+      next += b->m;
+      active[n_active++] = b;
       return OkStatus();
     };
-    for (int s = 0; s < 2 && next_chunk < n_chunks; ++s) {
-      TZLLM_RETURN_IF_ERROR(admit(&pipe_[s]));
+    for (int s = 0; s < depth; ++s) {
+      TZLLM_RETURN_IF_ERROR(admit(&batches_[s]));
     }
-    while (!active.empty()) {
-      // Advance every in-flight chunk one stage, in chunk order — that
-      // order is what serializes per-layer KV appends across chunks.
-      for (PipeChunk* ch : active) {
-        TZLLM_RETURN_IF_ERROR(PipeAdvance(ch, kv));
+    while (n_active > 0) {
+      // Advance every batch one stage, oldest first: that order is what
+      // lands batch b's KV rows before batch b+1 attends at each layer.
+      for (int i = 0; i < n_active; ++i) {
+        TZLLM_RETURN_IF_ERROR(Advance(active[i], backend));
       }
-      // Retire chunks that submitted their last layer tail; their slot is
-      // refilled with the next chunk, which becomes the youngest member of
-      // the wavefront.
-      for (size_t i = 0; i < active.size();) {
-        PipeChunk* ch = active[i];
-        if (ch->layer < c.n_layers || ch->attend_next) {
-          ++i;
-          continue;
-        }
-        TZLLM_RETURN_IF_ERROR(prefill_backend_->Await(ch->tail_ticket));
-        ch->tail_ticket = kCompletedTicket;
-        kv->FinishPositions(ch->m);
-        if (ch->index == n_chunks - 1) {
-          last = ch;
-        }
-        active.erase(active.begin() + i);
-        if (next_chunk < n_chunks) {
-          TZLLM_RETURN_IF_ERROR(admit(ch));
+      // Batches past their last layer tail retire, oldest first; each freed
+      // slot takes the next rows as the youngest batch.
+      while (n_active > 0 && active[0]->layer == spec_->config().n_layers &&
+             !active[0]->attend_next) {
+        RowBatch* b = active[0];
+        TZLLM_RETURN_IF_ERROR(Retire(b, backend));
+        active[0] = active[1];
+        --n_active;
+        if (next < n) {
+          TZLLM_RETURN_IF_ERROR(admit(b));
         }
       }
     }
-    if (last == nullptr) {
-      return Status(ErrorCode::kInternal, "pipelined prefill lost its tail");
-    }
-    return last;
+    return OkStatus();
   };
-
-  auto last = run();
-  if (!last.ok()) {
-    // Drain in-flight jobs before surfacing the error: their payloads write
-    // through pointers into chunk workspaces this frame owns. The original
-    // error is the one the caller needs; Sync's is at best a duplicate.
-    (void)prefill_backend_->Sync();
-    return last.status();
+  const Status st = run();
+  if (!st.ok()) {
+    // In-flight payloads write through pointers into the batch workspaces;
+    // drain them before surfacing the original error.
+    (void)backend->Sync();
   }
-  return Logits((*last)->hiddens.data() +
-                static_cast<size_t>((*last)->m - 1) * c.d_model);
-}
-
-Status TransformerExecutor::LogitsInto(const float* hidden, float* out) {
-  const LlmConfig& c = spec_->config();
-  auto w_norm = Weights(TensorRole::kOutputNorm, -1);
-  if (!w_norm.ok()) {
-    return w_norm.status();
-  }
-  EnsureWorkspace(1);
-  kernels_->rms_norm(hidden, reinterpret_cast<const float*>(*w_norm),
-                     norm_.data(), c.d_model);
-  auto head = Weights(TensorRole::kLmHead, -1);
-  if (!head.ok()) {
-    return head.status();
-  }
-  const MatTarget logits[] = {
-      {*head, static_cast<uint64_t>(c.vocab_size), out}};
-  return cpu_backend_->MatVec(norm_.data(), c.d_model, logits, 1);
-}
-
-Result<std::vector<float>> TransformerExecutor::Logits(const float* hidden) {
-  std::vector<float> logits(spec_->config().vocab_size);
-  TZLLM_RETURN_IF_ERROR(LogitsInto(hidden, logits.data()));
-  return logits;
+  return st;
 }
 
 Result<std::vector<float>> TransformerExecutor::Prefill(
     const std::vector<TokenId>& tokens, KvCache* kv) {
-  TZLLM_RETURN_IF_ERROR(init_status_);
-  if (tokens.empty()) {
-    return Status(ErrorCode::kInvalidArgument, "empty prompt");
-  }
-  if (!options_.use_reference_kernels && options_.prefill_batch > 1 &&
-      tokens.size() > 1) {
-    return ForwardPrompt(tokens, kv);
-  }
-  return PrefillPerPosition(tokens, kv);
+  std::vector<float> logits(spec_->config().vocab_size);
+  TZLLM_RETURN_IF_ERROR(RunPrompt(tokens.data(),
+                                  static_cast<int>(tokens.size()), kv,
+                                  logits.data(), options_.prefill_batch));
+  return logits;
 }
 
-Result<std::vector<float>> TransformerExecutor::PrefillPerPosition(
-    const std::vector<TokenId>& tokens, KvCache* kv) {
-  EnsureWorkspace(1);
-  // hiddens_ row 0 is free here: ForwardPosition only touches the other
-  // workspace buffers, so the residual stream can live in the workspace
-  // instead of a fresh allocation per call.
-  float* hidden = hiddens_.data();
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    TZLLM_RETURN_IF_ERROR(EmbedToken(tokens[i], hidden));
-    TZLLM_RETURN_IF_ERROR(ForwardPosition(hidden, kv->seq_len(), kv));
-  }
-  return Logits(hidden);
+Status TransformerExecutor::PrefillChunk(const TokenId* tokens, int m,
+                                         KvCache* kv, float* logits) {
+  return RunPrompt(tokens, m, kv, logits, m);
 }
 
-Result<std::vector<float>> TransformerExecutor::ForwardPrompt(
-    const std::vector<TokenId>& tokens, KvCache* kv) {
-  TZLLM_RETURN_IF_ERROR(init_status_);
-  if (tokens.empty()) {
-    return Status(ErrorCode::kInvalidArgument, "empty prompt");
+Status TransformerExecutor::RunPrompt(const TokenId* tokens, int m,
+                                      KvCache* kv, float* logits,
+                                      int batch_rows) {
+  if (tokens == nullptr || m <= 0 || kv == nullptr) {
+    return InvalidArgument("empty prompt or missing KV cache");
   }
-  if (options_.use_reference_kernels) {
-    // The batched chunks are quantized-kernel only; a reference-configured
-    // executor must stay on the seed path rather than mix numerics.
-    return PrefillPerPosition(tokens, kv);
+  rows_.resize(m);
+  for (int i = 0; i < m; ++i) {
+    rows_[i] = {tokens[i], kv, kv->seq_len() + i, nullptr};
   }
-  if (prefill_backend_->asynchronous() && options_.npu_pipeline) {
-    // NPU offload: the pipelined wavefront overlaps one chunk's CPU
-    // attention with another chunk's fused jobs. Same floats — only
-    // independent work is reordered. npu_pipeline=false keeps an async
-    // backend on the serial chunk schedule below (submit, then await at
-    // each dependency) — the {serial, pipelined} axis of the
-    // fault-recovery matrix.
-    return ForwardPromptPipelined(tokens, kv);
-  }
-  const size_t chunk =
-      static_cast<size_t>(std::max(1, options_.prefill_batch));
-  const int d = spec_->config().d_model;
-  size_t last_m = 0;
-  for (size_t off = 0; off < tokens.size(); off += last_m) {
-    last_m = std::min(chunk, tokens.size() - off);
-    TZLLM_RETURN_IF_ERROR(
-        ForwardChunk(tokens.data() + off, static_cast<int>(last_m), kv));
-  }
-  return Logits(hiddens_.data() + (last_m - 1) * d);
+  rows_[m - 1].logits = logits;
+  return Forward(rows_.data(), m, std::max(1, batch_rows), prefill_backend_);
 }
 
 Status TransformerExecutor::DecodeStepInto(TokenId token, KvCache* kv,
                                            float* logits) {
-  TZLLM_RETURN_IF_ERROR(init_status_);
-  EnsureWorkspace(1);
-  float* hidden = hiddens_.data();
-  TZLLM_RETURN_IF_ERROR(EmbedToken(token, hidden));
-  TZLLM_RETURN_IF_ERROR(ForwardPosition(hidden, kv->seq_len(), kv));
-  return LogitsInto(hidden, logits);
+  const DecodeEntry entry{token, kv, logits};
+  return DecodeStepBatch(&entry, 1);
 }
 
 Result<std::vector<float>> TransformerExecutor::DecodeStep(TokenId token,
@@ -693,159 +493,18 @@ Result<std::vector<float>> TransformerExecutor::DecodeStep(TokenId token,
 
 Status TransformerExecutor::DecodeStepBatch(const DecodeEntry* entries,
                                             int n) {
-  TZLLM_RETURN_IF_ERROR(init_status_);
   if (entries == nullptr || n <= 0) {
     return InvalidArgument("empty decode batch");
   }
-  if (n == 1 || options_.use_reference_kernels) {
-    // A single session gains nothing from the MatMat path, and a reference
-    // engine must stay on the seed per-position kernels (no mixed numerics);
-    // both route through the solo step, so one-session serving IS solo
-    // decode, not a claim about it.
-    for (int i = 0; i < n; ++i) {
-      TZLLM_RETURN_IF_ERROR(
-          DecodeStepInto(entries[i].token, entries[i].kv, entries[i].logits));
-    }
-    return OkStatus();
-  }
-  const LlmConfig& c = spec_->config();
-  const int d = c.d_model;
-  const int kv_dim = c.kv_dim();
+  rows_.resize(n);
   for (int i = 0; i < n; ++i) {
     if (entries[i].kv == nullptr || entries[i].logits == nullptr) {
       return InvalidArgument("decode batch entry missing its cache or logits");
     }
-    if (entries[i].kv->seq_len() >= c.max_ctx) {
-      return ResourceExhausted("KV cache full (context length exceeded)");
-    }
+    rows_[i] = {entries[i].token, entries[i].kv, entries[i].kv->seq_len(),
+                entries[i].logits};
   }
-  EnsureWorkspace(n);
-  // Pin every cache in the group for the whole step: the per-layer loop
-  // interleaves session appends, and an unpinned neighbor's page could
-  // otherwise be evicted between a session's append and its attend.
-  std::vector<KvCachePin> step_pins;
-  step_pins.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    auto pin = entries[i].kv->PinForStep();
-    if (!pin.ok()) {
-      return pin.status();
-    }
-    step_pins.push_back(std::move(*pin));
-  }
-  for (int i = 0; i < n; ++i) {
-    TZLLM_RETURN_IF_ERROR(
-        EmbedToken(entries[i].token, hiddens_.data() + i * d));
-  }
-
-  for (int l = 0; l < c.n_layers; ++l) {
-    // --- Attention block: all n sessions share each weight pass. ---
-    TZLLM_ASSIGN_OR_RETURN(w_norm, Weights(TensorRole::kAttnNorm, l));
-    for (int i = 0; i < n; ++i) {
-      kernels_->rms_norm(hiddens_.data() + i * d,
-                         reinterpret_cast<const float*>(w_norm),
-                         norm_.data() + i * d, d);
-    }
-    acts_.QuantizeRows(norm_.data(), n, d);
-
-    TZLLM_ASSIGN_OR_RETURN(wq, Weights(TensorRole::kWq, l));
-    TZLLM_ASSIGN_OR_RETURN(wk, Weights(TensorRole::kWk, l));
-    TZLLM_ASSIGN_OR_RETURN(wv, Weights(TensorRole::kWv, l));
-    const MatMatOp qkv[] = {
-        {wq, static_cast<uint64_t>(d), q_.data()},
-        {wk, static_cast<uint64_t>(kv_dim), k_.data()},
-        {wv, static_cast<uint64_t>(kv_dim), v_.data()}};
-    TZLLM_ASSIGN_OR_RETURN(qkv_ticket,
-                           cpu_backend_->SubmitMatMatGroup(qkv, 3, acts_));
-    TZLLM_RETURN_IF_ERROR(cpu_backend_->Await(qkv_ticket));
-
-    // Per-session RoPE, KV append and attention: each row rotates at ITS
-    // cache's current position and attends only against its own cache —
-    // exactly the solo step's m=1 Attend call (same work partition, same
-    // inline/pool threshold), so batching cannot mix sessions or move a
-    // float. Entries must reference distinct caches; seq_len() only
-    // advances at FinishPosition below, so a duplicated cache would stack
-    // two appends on one position.
-    for (int i = 0; i < n; ++i) {
-      const int pos = entries[i].kv->seq_len();
-      Rope(q_.data() + i * d, c.n_heads, pos);
-      Rope(k_.data() + i * kv_dim, c.n_kv_heads, pos);
-      TZLLM_RETURN_IF_ERROR(entries[i].kv->Append(
-          l, k_.data() + i * kv_dim, v_.data() + i * kv_dim));
-      Attend(l, pos, /*m=*/1, q_.data() + i * d, attn_.data() + i * d,
-             *entries[i].kv);
-    }
-
-    // --- Post-attention segment, one fused pass over all n rows. ---
-    acts_.QuantizeRows(attn_.data(), n, d);
-    TZLLM_ASSIGN_OR_RETURN(
-        tail, BuildLayerTail(l, n, hiddens_.data(), proj_.data(),
-                             norm_.data(), gate_.data(), up_.data(),
-                             down_.data(), &acts_));
-    TZLLM_ASSIGN_OR_RETURN(tail_ticket,
-                           cpu_backend_->SubmitLayerTail(tail, acts_));
-    TZLLM_RETURN_IF_ERROR(cpu_backend_->Await(tail_ticket));
-  }
-
-  for (int i = 0; i < n; ++i) {
-    entries[i].kv->FinishPosition();
-  }
-  // One shared LM-head pass: norm every session's hidden row, quantize them
-  // together, and stream the vocabulary weights ONCE for the whole batch
-  // (per-session LogitsInto would re-read the largest matrix in the model n
-  // times per step). Each row norms, quantizes and dots independently —
-  // bit-identical to the solo logits path, like every other batched matmul
-  // in this step.
-  TZLLM_ASSIGN_OR_RETURN(w_out_norm, Weights(TensorRole::kOutputNorm, -1));
-  for (int i = 0; i < n; ++i) {
-    kernels_->rms_norm(hiddens_.data() + i * d,
-                       reinterpret_cast<const float*>(w_out_norm),
-                       norm_.data() + i * d, d);
-  }
-  acts_.QuantizeRows(norm_.data(), n, d);
-  TZLLM_ASSIGN_OR_RETURN(w_head, Weights(TensorRole::kLmHead, -1));
-  logits_rows_.resize(static_cast<size_t>(n) * c.vocab_size);
-  const MatMatOp lm[] = {
-      {w_head, static_cast<uint64_t>(c.vocab_size), logits_rows_.data()}};
-  TZLLM_ASSIGN_OR_RETURN(lm_ticket,
-                         cpu_backend_->SubmitMatMatGroup(lm, 1, acts_));
-  TZLLM_RETURN_IF_ERROR(cpu_backend_->Await(lm_ticket));
-  for (int i = 0; i < n; ++i) {
-    std::memcpy(entries[i].logits,
-                logits_rows_.data() + static_cast<size_t>(i) * c.vocab_size,
-                sizeof(float) * c.vocab_size);
-  }
-  return OkStatus();
-}
-
-Status TransformerExecutor::PrefillChunk(const TokenId* tokens, int m,
-                                         bool per_position, KvCache* kv,
-                                         float* logits) {
-  TZLLM_RETURN_IF_ERROR(init_status_);
-  if (tokens == nullptr || m <= 0) {
-    return InvalidArgument("empty prefill chunk");
-  }
-  if (per_position) {
-    // The seed schedule, one chunk's worth. Each position restarts from its
-    // embedding, so nothing carries across chunks but the KV cache —
-    // chunking at ANY boundary reproduces PrefillPerPosition exactly.
-    EnsureWorkspace(1);
-    float* hidden = hiddens_.data();
-    for (int i = 0; i < m; ++i) {
-      TZLLM_RETURN_IF_ERROR(EmbedToken(tokens[i], hidden));
-      TZLLM_RETURN_IF_ERROR(ForwardPosition(hidden, kv->seq_len(), kv));
-    }
-    return logits != nullptr ? LogitsInto(hidden, logits) : OkStatus();
-  }
-  // The serial batched schedule, one chunk per call: identical to
-  // ForwardPrompt's loop body, so a prompt fed in prefill_batch-sized
-  // chunks lands the same KV rows and logits as the one-shot call.
-  TZLLM_RETURN_IF_ERROR(ForwardChunk(tokens, m, kv));
-  if (logits != nullptr) {
-    return LogitsInto(
-        hiddens_.data() + static_cast<size_t>(m - 1) * spec_->config().d_model,
-        logits);
-  }
-  return OkStatus();
+  return Forward(rows_.data(), n, n, cpu_backend_.get());
 }
 
 }  // namespace tzllm

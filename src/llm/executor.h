@@ -57,40 +57,54 @@ class HostWeightSource : public WeightSource {
   std::vector<Tensor> tensors_;
 };
 
+// One forward schedule. Every entry point builds a list of rows — a row is
+// one token entering one KvCache at one position — and runs them through
+// the same layer-major loop: a prefill chunk is m rows of one cache at
+// consecutive positions, a batched decode step is n rows of n distinct
+// caches. Each layer is two stages over a RowBatch workspace:
+//
+//   A: await the previous layer tail, RMSNorm, quantize, submit QKV;
+//   B: await QKV, RoPE, then per run of rows sharing a cache one KV
+//      AppendBatch and one fused Attend, quantize, submit the layer tail.
+//
+// On a synchronous backend one batch runs at a time (the serial schedule).
+// On an asynchronous one (NPU offload) a multi-batch prompt keeps two
+// batches in flight, advanced one stage each in row order, so one batch's
+// CPU attention overlaps the other's fused jobs; batch b's KV rows land
+// before batch b+1 attends at each layer, the only cross-batch dependency.
+// Per-row math and block order never depend on how rows are batched (the
+// m = 1 matmul is the same row kernel, attention items are independent),
+// so every schedule is bit-identical to every other.
 class TransformerExecutor {
  public:
   // `prefill_backend` (optional, non-owning, must outlive the executor)
-  // swaps where the batched-prefill matmuls run: nullptr keeps them on the
+  // swaps where prefill rows' matmuls run: nullptr keeps them on the
   // executor's own CpuBackend; the LLM TA passes an NpuBackend to offload
-  // them through the secure co-driver. Decode and the per-position path
-  // always run on the CPU backend regardless.
+  // them through the secure co-driver. Decode and the LM head always run on
+  // the CPU backend, and so does everything under use_reference_kernels
+  // (the NPU payloads are quantized-kernel only).
   TransformerExecutor(const ModelSpec* spec, WeightSource* weights,
                       const EngineOptions& options = {},
                       ComputeBackend* prefill_backend = nullptr);
 
-  // Runs the prompt through the model, filling the KV cache. Returns the
-  // logits of the last position (vocab_size floats). Dispatches to
-  // ForwardPrompt (batched) or the per-position path per `options`.
+  // Runs the prompt through the model in batches of `prefill_batch` rows,
+  // filling the KV cache. Returns the logits of the last position
+  // (vocab_size floats).
   Result<std::vector<float>> Prefill(const std::vector<TokenId>& tokens,
                                      KvCache* kv);
 
-  // Batched prefill: runs the prompt through each layer `prefill_batch`
-  // positions at a time, so every weight row is streamed once per chunk
-  // (MatMatQ8) instead of once per position. With use_reference_kernels it
-  // degrades to the per-position seed path (no mixed numerics). On an
-  // asynchronous prefill backend (NPU offload) it runs the pipelined
-  // schedule: two chunks in flight, so one chunk's CPU attention overlaps
-  // the other chunk's fused matmul jobs — same floats, reordered only
-  // across independent work.
-  Result<std::vector<float>> ForwardPrompt(const std::vector<TokenId>& tokens,
-                                           KvCache* kv);
+  // Advances a prompt by one batch of `m` positions into `kv` — the serving
+  // scheduler's prefill quantum, always one batch in flight. When `logits`
+  // is non-null (the prompt's final chunk) the last position's logits are
+  // computed into it (vocab_size floats). Chunking at any boundary lands the
+  // same KV rows and logits as the one-shot Prefill.
+  Status PrefillChunk(const TokenId* tokens, int m, KvCache* kv,
+                      float* logits);
 
   // One incremental decode step for `token` at the cache's current position.
   Result<std::vector<float>> DecodeStep(TokenId token, KvCache* kv);
 
-  // Same step into a caller-provided buffer of vocab_size floats — the
-  // allocation-free decode path DecodeStep routes through (ROADMAP: the
-  // by-value API allocated the logits vector every step).
+  // Same step into a caller-provided buffer of vocab_size floats.
   Status DecodeStepInto(TokenId token, KvCache* kv, float* logits);
 
   // One session's slice of a batched decode step: its pending token, its
@@ -102,27 +116,13 @@ class TransformerExecutor {
     float* logits = nullptr;
   };
 
-  // One decode step for `n` independent sessions at once: per layer, ONE
-  // MatMatQ8 over all sessions' activation rows (weights stream once per
-  // step regardless of batch size — the same reuse that made batched
-  // prefill pay) instead of n MatVecs, then per-session attention against
-  // each session's own cache at its own position. Bit-identical per session
-  // to running DecodeStepInto solo: the row kernels, the fused layer tail
-  // and the per-session m=1 attention are exactly the solo path's
-  // computations (the backend numerics contract batched prefill already
-  // rests on). n == 1 and reference-kernel engines route straight through
-  // DecodeStepInto. Each session's cache advances one position on success.
+  // One decode step for `n` sessions at once: one row per session, so each
+  // weight matrix streams once per step whatever the batch size, and each
+  // row attends only against its own cache. Bit-identical per session to
+  // DecodeStepInto. The caches must be distinct (InvalidArgument otherwise,
+  // before anything is pinned or appended); each advances one position on
+  // success.
   Status DecodeStepBatch(const DecodeEntry* entries, int n);
-
-  // Advances a prompt by one chunk of `m` positions into `kv` — the serving
-  // scheduler's prefill quantum. `per_position` selects the seed
-  // per-position path (reference kernels / prefill_batch <= 1 /
-  // single-token prompts), matching Prefill's dispatch so a chunked prompt
-  // is bit-identical to the one-shot call. When `logits` is non-null (the
-  // prompt's final chunk) the last position's logits are computed into it
-  // (vocab_size floats).
-  Status PrefillChunk(const TokenId* tokens, int m, bool per_position,
-                      KvCache* kv, float* logits);
 
   const EngineOptions& options() const { return options_; }
 
@@ -132,75 +132,68 @@ class TransformerExecutor {
   void ResetStats() { attend_seconds_ = 0.0; }
 
  private:
-  // One prompt chunk flowing through the pipelined prefill schedule. Each
-  // slot owns a full activation workspace so two chunks can be in flight at
-  // once: while this chunk's fused layer job runs on the NPU timeline, the
-  // other chunk's attention runs on the CPU against its own buffers. Every
-  // buffer a submitted job references lives here, which is what makes the
-  // NPU jobs zero-copy (the ComputeBackend lifetime contract).
-  struct PipeChunk {
-    int index = -1;  // Chunk ordinal within the prompt; -1 = slot free.
-    int start = 0;   // First absolute position of the chunk.
+  // One token entering `kv` at position `pos`; non-null `logits` asks for
+  // the row's vocab_size logits.
+  struct Row {
+    TokenId token = 0;
+    KvCache* kv = nullptr;
+    int pos = 0;
+    float* logits = nullptr;
+  };
+
+  // The rows of one batch in flight and the activation workspace its
+  // submitted jobs read and write (zero-copy: every buffer a ticket
+  // references lives here, untouched until the ticket retires). All float
+  // buffers are row-major: row i belongs to rows[i].
+  struct RowBatch {
+    const Row* rows = nullptr;
     int m = 0;
+    int capacity = 0;  // Rows the buffers are sized for.
     int layer = 0;
-    // false: next step submits this layer's QKV group (S0). true: QKV is in
-    // flight; next step runs attention and submits the layer tail (S1).
+    // false: stage A is next (submit QKV); true: stage B (attend, submit
+    // the layer tail).
     bool attend_next = false;
     BackendTicket qkv_ticket = kCompletedTicket;
     BackendTicket tail_ticket = kCompletedTicket;
     std::vector<float> hiddens, norm, q, k, v, attn, proj, gate, up, down;
-    Q8Acts qkv_acts, attn_acts;
+    Q8Acts acts;
   };
 
-  // Forward pass of one position given its embedding in `hidden` (d_model
-  // floats, updated in place).
-  Status ForwardPosition(float* hidden, int pos, KvCache* kv);
-  // The seed schedule: one position at a time through all layers.
-  Result<std::vector<float>> PrefillPerPosition(
-      const std::vector<TokenId>& tokens, KvCache* kv);
-  // Forward pass of `m` prompt positions at once; leaves the residual
-  // streams in hiddens_.
-  Status ForwardChunk(const TokenId* tokens, int m, KvCache* kv);
-  // The pipelined schedule for asynchronous backends: a layer-major
-  // wavefront with up to two chunks in flight (one slot per NPU context
-  // buffer). Per layer, chunk c's KV rows are appended before chunk c+1
-  // attends — the only cross-chunk dependency — so logits are bit-identical
-  // to the serial chunk schedule.
-  Result<std::vector<float>> ForwardPromptPipelined(
-      const std::vector<TokenId>& tokens, KvCache* kv);
-  // Fetches layer `l`'s post-attention weights and wires a LayerTailOp over
-  // the given chunk buffers — the ONE place the tail submission is packed,
-  // shared by the serial and pipelined schedules so they cannot drift.
-  // `acts` is the requantization scratch and aliases the attention
-  // activations by contract (the Wo matmul consumes them first).
-  Result<LayerTailOp> BuildLayerTail(int l, int m, float* hiddens, float* proj,
-                                     float* norm, float* gate, float* up,
-                                     float* down, Q8Acts* acts);
-  // Sizes a pipeline slot's buffers and embeds the chunk's tokens.
-  Status PipeAdmit(PipeChunk* ch, int index, int start, const TokenId* tokens,
-                   int m);
-  // Advances a chunk one stage (S0: norm+quantize, submit QKV; S1: rope +
-  // KV append + attention, submit the fused layer tail).
-  Status PipeAdvance(PipeChunk* ch, KvCache* kv);
+  // The one driver behind every entry point: validates `rows` (rows of one
+  // cache adjacent, at consecutive positions from its seq_len(), tokens in
+  // the vocabulary — InvalidArgument before any pin or append), pins every
+  // cache, runs them in batches of at most `batch_rows` on `backend`, and
+  // writes the logits rows ask for. Drains the backend before returning an
+  // error, so no in-flight job writes through freed state.
+  Status Forward(const Row* rows, int n, int batch_rows,
+                 ComputeBackend* backend);
+  Status CheckRows(const Row* rows, int n);
+  // Forwards `m` prompt tokens entering `kv` after its cached positions, in
+  // batches of `batch_rows` on the prefill backend; the last row's logits
+  // go to `logits` (when non-null).
+  Status RunPrompt(const TokenId* tokens, int m, KvCache* kv, float* logits,
+                   int batch_rows);
+  // Sizes `b` for `m` rows; never called while `b` has jobs in flight.
+  void Reserve(RowBatch* b, int m);
+  // Stage A or B of the batch's current layer (see the class comment).
+  Status Advance(RowBatch* b, ComputeBackend* backend);
+  // Awaits the final tail, advances the caches and runs the LM head for the
+  // rows that asked for logits (one shared pass on the CPU backend).
+  Status Retire(RowBatch* b, ComputeBackend* backend);
   // Fused causal attention for `m` consecutive positions starting at
   // `start`: fills out rows [m][d_model] from q rows [m][d_model] and the KV
   // cache rows [0, start + i] of `layer`. The m x n_heads head loops are one
   // flat work list, statically partitioned over the pool (same deterministic
   // schedule as the matmul kernels): each (position, head) item is
-  // independent, so the result is bit-identical at any thread count. Reads
-  // the cache at its storage width (f16 expand via F16ToF32Fast, or the f32
-  // reference arena).
+  // independent, so the result is bit-identical at any thread count and any
+  // batching. Reads the cache at its storage width.
   void Attend(int layer, int start, int m, const float* q, float* out,
               const KvCache& kv);
-  Result<std::vector<float>> Logits(const float* hidden);
-  Status LogitsInto(const float* hidden, float* out);
   Status EmbedToken(TokenId token, float* hidden);
 
   Result<const uint8_t*> Weights(TensorRole role, int layer);
 
   void Rope(float* vec, int n_heads, int pos) const;
-  // Sizes the reusable activation buffers for chunks of up to `m` positions.
-  void EnsureWorkspace(int m);
 
   const ModelSpec* spec_;
   WeightSource* weights_;
@@ -216,11 +209,10 @@ class TransformerExecutor {
   // will run.
   int n_threads_;
   std::unique_ptr<ThreadPool> pool_;
-  // The backend seam. cpu_backend_ always exists and serves decode, the
-  // per-position path and the logits head (one code path for reference and
-  // quantized kernels — CpuBackend internalizes the branch); every batched-
-  // prefill MatMat goes through prefill_backend_, which is either the same
-  // CpuBackend or a caller-provided backend (NPU offload).
+  // The backend seam. cpu_backend_ always exists and serves decode and the
+  // LM head (reference and quantized mode alike — CpuBackend internalizes
+  // the branch); prefill rows go through prefill_backend_, which is either
+  // the same CpuBackend or a caller-provided backend (NPU offload).
   std::unique_ptr<CpuBackend> cpu_backend_;
   ComputeBackend* prefill_backend_ = nullptr;
   // Geometry validation result, computed once; entry points fail fast on it
@@ -228,22 +220,12 @@ class TransformerExecutor {
   Status init_status_;
   double attend_seconds_ = 0.0;
 
-  // Reusable workspace (grown once; no allocation in the token loop). All
-  // are position-major: row i belongs to chunk position i — except scores_,
-  // which holds one max_ctx attention-scratch row per pool part.
-  int workspace_m_ = 0;
-  std::vector<float> hiddens_, norm_, q_, k_, v_, attn_, proj_, gate_, up_,
-      down_, scores_;
-  // Batched-decode LM-head staging: MatMat writes the batch's logits rows
-  // contiguously here before they scatter to each session's buffer.
-  std::vector<float> logits_rows_;
-  Q8Acts acts_;
-  // Pipelined-prefill slots (double-buffered chunk workspaces), grown once;
-  // pipe_slots_ tracks how many have sized buffers (a single-chunk prompt
-  // only ever needs one).
-  PipeChunk pipe_[2];
-  int pipe_m_ = 0;
-  int pipe_slots_ = 0;
+  // Reusable workspace, grown once (no allocation in the token loop): the
+  // two batch slots, the rows the entry points build, one max_ctx
+  // attention-scratch row per pool part, and the LM head's staging rows.
+  RowBatch batches_[2];
+  std::vector<Row> rows_;
+  std::vector<float> scores_, logits_rows_;
 };
 
 // Numerics helpers shared with tests — always the portable-scalar table

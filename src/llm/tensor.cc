@@ -126,6 +126,7 @@ void Q8Acts::QuantizeRows(const float* x, uint64_t m_rows, uint64_t n) {
   const uint64_t blocks = n / kQ8BlockElems;
   cols = n;
   m = m_rows;
+  src = x;
   q.resize(m_rows * n);
   scale.resize(m_rows * blocks);
   for (uint64_t row = 0; row < m_rows; ++row) {

@@ -72,6 +72,9 @@ struct Q8Acts {
   std::vector<float> scale;  // [m * cols/32].
   uint64_t cols = 0;
   uint64_t m = 0;
+  // The float rows of the last QuantizeRows call (not owned; valid only as
+  // long as the caller keeps them): the input of the seed reference kernels.
+  const float* src = nullptr;
 
   void Quantize(const float* x, uint64_t n) { QuantizeRows(x, 1, n); }
   // Quantizes m rows of n floats each (n a multiple of 32).

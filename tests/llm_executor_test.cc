@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/llm/tzguf.h"
 
@@ -178,8 +182,93 @@ TEST_F(ExecutorTest, RejectsOddHeadDimGeometry) {
   EXPECT_NE(prefill.status().message().find("head_dim"), std::string::npos);
   std::vector<float> buf(bad.vocab_size);
   EXPECT_FALSE(exec.DecodeStepInto(1, &kv, buf.data()).ok());
-  EXPECT_FALSE(exec.ForwardPrompt({1, 2}, &kv).ok());
+  const TokenId chunk[] = {1, 2};
+  EXPECT_FALSE(exec.PrefillChunk(chunk, 2, &kv, buf.data()).ok());
+  const TransformerExecutor::DecodeEntry entry{1, &kv, buf.data()};
+  EXPECT_FALSE(exec.DecodeStepBatch(&entry, 1).ok());
 }
+
+TEST_F(ExecutorTest, DecodeBatchRejectsRowsThatShareACache) {
+  // Two rows of one cache must sit at consecutive positions; a decode batch
+  // puts every row at its cache's seq_len(), so a repeated cache is invalid
+  // — adjacent or not — and nothing may be pinned or appended.
+  ASSERT_TRUE(executor_.Prefill({5, 6, 7}, &kv_).ok());
+  KvCache other(spec_);
+  ASSERT_TRUE(executor_.Prefill({8, 9}, &other).ok());
+  const uint64_t bytes = kv_.CurrentBytes();
+  const uint64_t other_bytes = other.CurrentBytes();
+  std::vector<float> a(spec_.config().vocab_size), b(a.size()), c(a.size());
+  const TransformerExecutor::DecodeEntry adjacent[] = {
+      {1, &kv_, a.data()}, {2, &kv_, b.data()}};
+  const TransformerExecutor::DecodeEntry split[] = {
+      {1, &kv_, a.data()}, {2, &other, b.data()}, {3, &kv_, c.data()}};
+  for (const auto& [entries, n] :
+       {std::make_pair(adjacent, 2), std::make_pair(split, 3)}) {
+    const Status st = executor_.DecodeStepBatch(entries, n);
+    EXPECT_EQ(st.code(), ErrorCode::kInvalidArgument) << st.ToString();
+    EXPECT_EQ(kv_.seq_len(), 3);
+    EXPECT_EQ(kv_.CurrentBytes(), bytes);
+    EXPECT_EQ(other.seq_len(), 2);
+    EXPECT_EQ(other.CurrentBytes(), other_bytes);
+  }
+  // Distinct caches still decode.
+  const TransformerExecutor::DecodeEntry ok[] = {{1, &kv_, a.data()},
+                                                 {2, &other, b.data()}};
+  ASSERT_TRUE(executor_.DecodeStepBatch(ok, 2).ok());
+  EXPECT_EQ(kv_.seq_len(), 4);
+  EXPECT_EQ(other.seq_len(), 3);
+}
+
+// Chunked PrefillChunk against one-shot Prefill on a 70-token prompt:
+// logits and every cached K/V row must be bit-identical at any chunk size,
+// in every numerics configuration of the single forward schedule.
+class ChunkedPrefillTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  static EngineOptions Options(const std::string& config) {
+    EngineOptions options;
+    options.force_scalar = config == "force_scalar";
+    options.use_reference_kernels = config == "reference";
+    return options;
+  }
+};
+
+TEST_P(ChunkedPrefillTest, ChunksBitIdenticalToOneShotPrefill) {
+  const ModelSpec spec = ModelSpec::Create(TestSmallModel());
+  const auto weights = Tzguf::ReferenceWeights(spec, 2026);
+  HostWeightSource source(weights);
+  const EngineOptions options = Options(GetParam());
+  std::vector<TokenId> prompt(70);
+  for (int i = 0; i < 70; ++i) {
+    prompt[i] = 1 + (i * 7) % (spec.config().vocab_size - 2);
+  }
+  TransformerExecutor one_shot(&spec, &source, options);
+  KvCache want_kv(spec, KvStorageFor(options), KernelsFor(options));
+  auto want = one_shot.Prefill(prompt, &want_kv);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  std::vector<uint8_t> want_rows;
+  ASSERT_TRUE(want_kv.SerializeState(&want_rows).ok());
+
+  for (int chunk : {1, 5, 32}) {
+    SCOPED_TRACE(chunk);
+    TransformerExecutor exec(&spec, &source, options);
+    KvCache kv(spec, KvStorageFor(options), KernelsFor(options));
+    std::vector<float> logits(spec.config().vocab_size);
+    for (int off = 0; off < 70; off += chunk) {
+      const int m = std::min(chunk, 70 - off);
+      ASSERT_TRUE(exec.PrefillChunk(prompt.data() + off, m, &kv,
+                                    off + m == 70 ? logits.data() : nullptr)
+                      .ok());
+    }
+    EXPECT_EQ(logits, *want);
+    std::vector<uint8_t> rows;
+    ASSERT_TRUE(kv.SerializeState(&rows).ok());
+    EXPECT_EQ(rows, want_rows);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, ChunkedPrefillTest,
+                         ::testing::Values("default", "force_scalar",
+                                           "reference"));
 
 }  // namespace
 }  // namespace tzllm

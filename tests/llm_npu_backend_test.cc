@@ -1,10 +1,10 @@
 // ComputeBackend seam: NPU-offloaded batched prefill through the secure
 // co-driver must compute exactly the same function as the CPU path — under
-// the fused per-layer job format AND the pipelined two-chunk schedule — and
-// the co-driver's TZASC validation must reject fused job contexts whose
-// sub-buffers stray outside the TA's protected regions, with the real
-// shadow-queue / takeover / world-switch machinery running under the
-// simulator clock for every job.
+// the fused per-layer job format, chunk by chunk AND with two batches in
+// flight — and the co-driver's TZASC validation must reject fused job
+// contexts whose sub-buffers stray outside the TA's protected regions,
+// with the real shadow-queue / takeover / world-switch machinery running
+// under the simulator clock for every job.
 
 #include <gtest/gtest.h>
 
@@ -197,6 +197,46 @@ TEST_F(NpuBackendTest, FusedAndUnfusedJobShapesBitIdentical) {
             unfused_backend.matmuls_submitted());
   EXPECT_EQ(fused_backend.jobs_submitted() * 7,
             unfused_backend.jobs_submitted() * 2);
+}
+
+TEST_F(NpuBackendTest, ChunkedNpuPrefillBitIdenticalToOneShotCpu) {
+  // The LLM TA's path: PrefillChunk one chunk at a time (one batch in
+  // flight) on the NPU backend. At every chunk size the logits and every
+  // cached K/V row must equal a one-shot CPU Prefill of the same 70 tokens,
+  // and so must a one-shot NPU Prefill (two batches in flight).
+  EngineOptions options;  // prefill_batch 32 sizes the job contexts.
+  const auto prompt = MakePrompt(spec_.config(), 70);
+  HostWeightSource source(weights_);
+  TransformerExecutor cpu(&spec_, &source, options);
+  KvCache want_kv(spec_, KvStorageFor(options), KernelsFor(options));
+  auto want = cpu.Prefill(prompt, &want_kv);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  std::vector<uint8_t> want_rows;
+  ASSERT_TRUE(want_kv.SerializeState(&want_rows).ok());
+
+  for (int chunk : {1, 5, 32, 70}) {
+    SCOPED_TRACE(chunk);
+    NpuBackend backend(BackendConfig(options, scratch_));
+    TransformerExecutor exec(&spec_, &source, options, &backend);
+    KvCache kv(spec_, KvStorageFor(options), KernelsFor(options));
+    std::vector<float> logits(spec_.config().vocab_size);
+    if (chunk == 70) {
+      auto one_shot = exec.Prefill(prompt, &kv);
+      ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
+      logits = *one_shot;
+    }
+    for (int off = 0; chunk < 70 && off < 70; off += chunk) {
+      const int m = std::min(chunk, 70 - off);
+      const Status st = exec.PrefillChunk(
+          prompt.data() + off, m, &kv, off + m == 70 ? logits.data() : nullptr);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    EXPECT_EQ(logits, *want);
+    std::vector<uint8_t> rows;
+    ASSERT_TRUE(kv.SerializeState(&rows).ok());
+    EXPECT_EQ(rows, want_rows);
+    EXPECT_GT(backend.jobs_submitted(), 0u);
+  }
 }
 
 TEST_F(NpuBackendTest, DecodeStaysOnCpuAfterNpuPrefill) {
