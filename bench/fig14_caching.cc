@@ -10,7 +10,8 @@
 // the rest unique text (so only the base portion can hit, and every point
 // prefills the same prompt length). TTFT is the wall time
 // from AdmitSession through the final prefill chunk (the first sampled
-// token), median of three trials. The page pool is deliberately smaller
+// token), median of nine trials taken in rounds that visit every point
+// once, so cold and warm trials interleave. The page pool is deliberately smaller
 // than the registry's working set so cold prefix pages spill to encrypted
 // REE memory and come back through the restore path mid-sweep. Every
 // request's tokens are checked bit-identical against a flat (unpaged)
@@ -37,7 +38,7 @@ using WallClock = std::chrono::steady_clock;
 constexpr int kPagePositions = 8;
 constexpr int kPrefillBatch = 16;
 constexpr int kDecodeBudget = 16;
-constexpr int kTrials = 3;
+constexpr int kTrials = 9;
 constexpr int kMaxCtx = 192;
 // Pool frames: the floor the engine enforces (one full context resident —
 // a decode step pins every page of its session), and far below the
@@ -88,7 +89,7 @@ struct TrialResult {
 
 struct SweepPoint {
   int proportion = 0;
-  double ttft_ms = 0.0;  // Median of kTrials.
+  double ttft_ms = 0.0;  // Median of kTrials, interleaved across points.
   int prompt_tokens = 0;
   double adopted_mean = 0.0;
   uint64_t prefix_hits = 0;    // Across the point's trials.
@@ -231,30 +232,39 @@ int main() {
   printf("base prompt: %d tokens (%zu chars)\n\n", base_tokens, base.size());
 
   const KvArena* arena = (*paged)->kv_arena();
-  std::vector<SweepPoint> points;
-  bool all_identical = true;
-  for (const int proportion : kProportions) {
-    SweepPoint point;
-    point.proportion = proportion;
-    point.tokens_identical = true;
-    const uint64_t hits_before = arena->prefix_stats().hits;
-    const uint64_t restores_before = arena->pool()->stats().restores;
-    std::vector<double> ttft_ms;
-    uint64_t adopted_total = 0;
-    for (int trial = 0; trial < kTrials; ++trial) {
-      const TrialResult r = RunTrial(paged->get(), flat->get(),
-                                     TrialPrompt(base, proportion, trial));
-      ttft_ms.push_back(r.ttft_ms);
-      adopted_total += r.adopted_positions;
+  constexpr size_t kPoints = sizeof(kProportions) / sizeof(kProportions[0]);
+  std::vector<SweepPoint> points(kPoints);
+  std::vector<std::vector<double>> ttft_ms(kPoints);
+  std::vector<uint64_t> adopted_total(kPoints, 0);
+  for (size_t i = 0; i < kPoints; ++i) {
+    points[i].proportion = kProportions[i];
+    points[i].tokens_identical = true;
+  }
+  // Rounds of one trial per point, so host speed drift over the sweep
+  // lands on cold and warm points alike instead of on whichever point ran
+  // during a slow spell.
+  for (int trial = 0; trial < kTrials; ++trial) {
+    for (size_t i = 0; i < kPoints; ++i) {
+      SweepPoint& point = points[i];
+      const uint64_t hits_before = arena->prefix_stats().hits;
+      const uint64_t restores_before = arena->pool()->stats().restores;
+      const TrialResult r =
+          RunTrial(paged->get(), flat->get(),
+                   TrialPrompt(base, point.proportion, trial));
+      ttft_ms[i].push_back(r.ttft_ms);
+      adopted_total[i] += r.adopted_positions;
       point.prompt_tokens = r.prompt_tokens;
       point.tokens_identical = point.tokens_identical && r.tokens_identical;
+      point.prefix_hits += arena->prefix_stats().hits - hits_before;
+      point.page_restores +=
+          arena->pool()->stats().restores - restores_before;
     }
-    point.ttft_ms = Median(ttft_ms);
-    point.adopted_mean = static_cast<double>(adopted_total) / kTrials;
-    point.prefix_hits = arena->prefix_stats().hits - hits_before;
-    point.page_restores = arena->pool()->stats().restores - restores_before;
-    all_identical = all_identical && point.tokens_identical;
-    points.push_back(point);
+  }
+  bool all_identical = true;
+  for (size_t i = 0; i < kPoints; ++i) {
+    points[i].ttft_ms = Median(ttft_ms[i]);
+    points[i].adopted_mean = static_cast<double>(adopted_total[i]) / kTrials;
+    all_identical = all_identical && points[i].tokens_identical;
   }
 
   PrintRow({"shared %", "ttft ms", "vs cold", "prompt tok", "adopted",

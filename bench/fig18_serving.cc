@@ -96,7 +96,16 @@ struct SweepPoint {
   double itl_ms_p50 = 0.0;
   double itl_ms_p99 = 0.0;
   uint64_t ticks = 0;
+  double rows_per_forward = 0.0;  // Sessions per executor decode forward.
 };
+
+// Rows per executor decode forward: the batch the weights really streamed
+// for (below the session count when the KV pool splits a step).
+double RowsPerForward(const ServeStats& stats) {
+  return stats.decode_forwards > 0
+             ? static_cast<double>(stats.decode_rows) / stats.decode_forwards
+             : 0.0;
+}
 
 // Runs `n` concurrent requests through the serving runtime on `ta` and
 // folds the timing records into one sweep point. `outputs` receives each
@@ -128,6 +137,7 @@ SweepPoint RunSweepPoint(LlmTa* ta, Simulator* sim, int n,
   out.sessions = n;
   out.wall_s = std::chrono::duration<double>(WallClock::now() - start).count();
   out.ticks = serve.stats().ticks;
+  out.rows_per_forward = RowsPerForward(serve.stats());
 
   std::vector<double> ttft_ms;
   std::vector<double> itl_ms;
@@ -282,6 +292,7 @@ struct OversubPoint {
   int preemptions = 0;
   uint64_t page_spills = 0;
   uint64_t page_restores = 0;
+  double rows_per_forward = 0.0;
   bool tokens_identical = false;
   // Chaos accounting (ISSUE 10) — all zero on clean runs.
   int completed = 0;
@@ -367,6 +378,7 @@ OversubPoint RunOversubPoint(const RuntimeConfig& config,
   out.preemptions = serve.stats().preemptions;
   out.page_spills = serve.stats().page_spills;
   out.page_restores = serve.stats().page_restores;
+  out.rows_per_forward = RowsPerForward(serve.stats());
   out.pages_lost = serve.stats().pages_lost;
   out.pages_recomputed = serve.stats().pages_recomputed;
   out.kv_recoveries = serve.stats().kv_recoveries;
@@ -696,14 +708,15 @@ int main() {
 
   printf("\nServing sweep (%d decode tokens/request):\n", kDecodeBudget);
   PrintRow({"sessions", "agg tok/s", "vs n=1", "ttft p50 ms", "ttft p99 ms",
-            "itl p50 ms", "itl p99 ms"},
+            "itl p50 ms", "itl p99 ms", "rows/fwd"},
            14);
   const double base = sweep.front().aggregate_tok_s;
   for (const SweepPoint& p : sweep) {
     PrintRow({std::to_string(p.sessions), Fmt("%.1f", p.aggregate_tok_s),
               Fmt("%.2fx", p.aggregate_tok_s / base),
               Fmt("%.1f", p.ttft_ms_p50), Fmt("%.1f", p.ttft_ms_p99),
-              Fmt("%.2f", p.itl_ms_p50), Fmt("%.2f", p.itl_ms_p99)},
+              Fmt("%.2f", p.itl_ms_p50), Fmt("%.2f", p.itl_ms_p99),
+              Fmt("%.2f", p.rows_per_forward)},
              14);
   }
   const double speedup4 = sweep[2].aggregate_tok_s / base;
@@ -747,21 +760,23 @@ int main() {
   printf("\nOver-subscription (%d sessions, %d-slot KV budget):\n",
          kOversubSessions, kOversubFlatSlots);
   PrintRow({"mode", "ttft p50 ms", "ttft p99 ms", "wall s", "preempt",
-            "spills", "restores"},
+            "spills", "restores", "rows/fwd"},
            13);
   PrintRow({"paged", Fmt("%.1f", oversub_paged.ttft_ms_p50),
             Fmt("%.1f", oversub_paged.ttft_ms_p99),
             Fmt("%.2f", oversub_paged.wall_s),
             std::to_string(oversub_paged.preemptions),
             std::to_string(oversub_paged.page_spills),
-            std::to_string(oversub_paged.page_restores)},
+            std::to_string(oversub_paged.page_restores),
+            Fmt("%.2f", oversub_paged.rows_per_forward)},
            13);
   PrintRow({"evict", Fmt("%.1f", oversub_evict.ttft_ms_p50),
             Fmt("%.1f", oversub_evict.ttft_ms_p99),
             Fmt("%.2f", oversub_evict.wall_s),
             std::to_string(oversub_evict.preemptions),
             std::to_string(oversub_evict.page_spills),
-            std::to_string(oversub_evict.page_restores)},
+            std::to_string(oversub_evict.page_restores),
+            Fmt("%.2f", oversub_evict.rows_per_forward)},
            13);
   const bool oversub_wins =
       oversub_paged.ttft_ms_p99 < oversub_evict.ttft_ms_p99;

@@ -1,9 +1,13 @@
 #include "src/core/llm_ta.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <set>
+#include <unordered_set>
+#include <utility>
 
 #include "src/common/log.h"
 #include "src/crypto/sha256.h"
@@ -458,9 +462,8 @@ Status LlmTa::RecoverLostKv(const std::vector<Session*>& sessions,
       span.reserve(b - a);
       for (int p = a; p < b; ++p) {
         // The token that produced position p: the prompt, then the emitted
-        // outputs. Every output token is pushed BEFORE its decode step, so
-        // the history covers every cached position even when the failed
-        // step was the one that appended last.
+        // outputs. A token is pushed no later than the step that appends
+        // its position, so the history covers every cached position.
         span.push_back(p < prompt_len ? s->prompt_tokens[p]
                                       : s->output_tokens[p - prompt_len]);
       }
@@ -657,67 +660,94 @@ Status LlmTa::DecodeSessions(const std::vector<SessionId>& sids) {
     }
     batch.push_back(s);
   }
-  // Groups of decode_batch sessions (0 = everything at once). Sessions are
-  // independent, so the grouping changes scheduling only, never a logit.
-  const int group = engine_options_.decode_batch > 0
-                        ? engine_options_.decode_batch
-                        : static_cast<int>(batch.size());
-  std::vector<TransformerExecutor::DecodeEntry> entries;
-  auto run_group = [&](size_t off, int n) -> Status {
-    entries.resize(n);
-    std::vector<Session*> group(batch.begin() + off, batch.begin() + off + n);
-    for (int i = 0; i < n; ++i) {
-      Session* s = group[i];
-      // Same per-token order as the solo loop: emit, decode, then sample
-      // the successor below.
-      s->output_tokens.push_back(s->next_token);
-      entries[i].token = s->next_token;
-      entries[i].kv = kv_arena_->cache(s->slot);
-      entries[i].logits = s->logits.data();
+  // Resident sessions first (stable, so ties keep the caller's order): the
+  // group whose pages survived the last step runs before anything is
+  // evicted, instead of two groups evicting each other every step. Flat
+  // caches have no pages, so this is a no-op there.
+  KvPagePool* pool = kv_arena_->pool();
+  std::vector<std::pair<int, Session*>> order;
+  order.reserve(batch.size());
+  for (Session* s : batch) {
+    int spilled = 0;
+    for (KvPageId id : kv_arena_->cache(s->slot)->pages()) {
+      spilled += pool->resident(id) ? 0 : 1;
     }
-    // Only the step itself is retried on a lost spill blob — the token
-    // pushes above are not rerun (corruption surfaces at pin time, before
-    // the step appends anything).
+    order.emplace_back(spilled, s);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  // A step pins every page of every session in its group before any
+  // append, so a group is the longest run (at most `limit` sessions) whose
+  // distinct pages plus per-session StepFramesNeeded fit the pool's frames.
+  // A shared prefix counts once. The first session always runs (the
+  // LoadModel floor keeps one full context pinnable). Flat: no frame cap.
+  const uint64_t frames =
+      pool != nullptr ? static_cast<uint64_t>(pool->frames()) : UINT64_MAX;
+  std::unordered_set<KvPageId> group_pages;
+  auto pack = [&](size_t off, int limit, uint64_t* need) {
+    group_pages.clear();
+    *need = 0;
+    int n = 0;
+    for (; n < limit && off + n < order.size(); ++n) {
+      const KvCache* kv = kv_arena_->cache(order[off + n].second->slot);
+      uint64_t more = static_cast<uint64_t>(kv->StepFramesNeeded());
+      for (KvPageId id : kv->pages()) {
+        more += group_pages.count(id) == 0 ? 1 : 0;
+      }
+      if (n > 0 && *need + more > frames) {
+        break;
+      }
+      *need += more;
+      group_pages.insert(kv->pages().begin(), kv->pages().end());
+    }
+    return n;
+  };
+  const int max_group = engine_options_.decode_batch > 0
+                            ? engine_options_.decode_batch
+                            : static_cast<int>(order.size());
+  std::vector<TransformerExecutor::DecodeEntry> entries;
+  std::vector<Session*> group;
+  size_t off = 0;
+  while (off < order.size()) {
+    uint64_t need = 0;
+    int n = pack(off, max_group, &need);
+    group.clear();
+    for (int i = 0; i < n; ++i) {
+      group.push_back(order[off + i].second);
+    }
+    // Only the step itself is retried on a lost spill blob (corruption
+    // surfaces at pin time, before the step appends anything). Recovery
+    // can swap a lost shared page for private copies, growing the group's
+    // distinct pages, so every attempt re-packs — never past the first n.
     TZLLM_RETURN_IF_ERROR(RetryWithKvRecovery(group, [&]() {
+      n = pack(off, n, &need);
+      entries.resize(n);
+      for (int i = 0; i < n; ++i) {
+        entries[i].token = group[i]->next_token;
+        entries[i].kv = kv_arena_->cache(group[i]->slot);
+        entries[i].logits = group[i]->logits.data();
+      }
+      if (pool != nullptr) {
+        pool->ResetPinnedPeak();
+      }
       return executor_->DecodeStepBatch(entries.data(), n);
     }));
+    // The packer's prediction is an upper bound on what the step pinned;
+    // an undercount would surface as "every resident page is pinned".
+    assert(pool == nullptr ||
+           static_cast<uint64_t>(pool->pinned_peak()) <= need);
+    // Same per-token order as the solo loop: emit the decoded token, then
+    // sample its successor.
     for (int i = 0; i < n; ++i) {
-      Session* s = batch[off + i];
+      Session* s = group[i];
+      s->output_tokens.push_back(s->next_token);
       s->next_token = s->sampler->Sample(s->logits);
       --s->remaining;
     }
-    return OkStatus();
-  };
-  if (!kv_arena_->paged()) {
-    for (size_t off = 0; off < batch.size();
-         off += static_cast<size_t>(group)) {
-      const int n = static_cast<int>(
-          std::min(static_cast<size_t>(group), batch.size() - off));
-      TZLLM_RETURN_IF_ERROR(run_group(off, n));
-    }
-    return OkStatus();
-  }
-  // Paged: a decode step pins every page of every session in its group, so
-  // greedily cap each group to what the pool can hold resident at once
-  // (PageCount + 2 per session: the step's append may open a page, and a
-  // shared tail page may privatize). An over-subscribed pool then decodes
-  // in several smaller steps — more ticks, never a wedge, and still the
-  // same per-session floats.
-  const uint64_t frames = static_cast<uint64_t>(kv_arena_->pool()->frames());
-  size_t off = 0;
-  while (off < batch.size()) {
-    int n = 0;
-    uint64_t need_sum = 0;
-    while (off + n < batch.size() && n < group) {
-      const uint64_t need = static_cast<uint64_t>(
-          kv_arena_->cache(batch[off + n]->slot)->PageCount() + 2);
-      if (n > 0 && need_sum + need > frames) {
-        break;
-      }
-      need_sum += need;
-      ++n;
-    }
-    TZLLM_RETURN_IF_ERROR(run_group(off, n));
+    ++decode_stats_.forwards;
+    decode_stats_.rows += static_cast<uint64_t>(n);
     off += static_cast<size_t>(n);
   }
   return OkStatus();

@@ -107,13 +107,28 @@ class LlmTa {
   // immediately (no-op) on an already-prefilled session.
   Result<bool> PrefillSessionChunk(SessionId sid);
 
-  // One batched decode step advancing EVERY listed session by one token:
-  // per layer one MatMatQ8 over all their current positions (weights stream
-  // once per step) with per-session attention — per-session bit-identical
-  // to stepping each alone. Groups of EngineOptions::decode_batch (0 = all
-  // at once). Every listed session must be prefilled and not done; sessions
-  // must be distinct.
+  // One decode step advancing EVERY listed session by one token, bit-
+  // identical per session to stepping each alone. Sessions run in groups,
+  // each one executor forward (per layer one MatMatQ8 over the group's
+  // rows, so the weights stream once per group) with per-session
+  // attention. A group holds at most EngineOptions::decode_batch sessions
+  // (0 = no cap) and, with paged KV, only as many as the pool can pin at
+  // once: its distinct pages (a shared prefix counts once) plus each
+  // session's KvCache::StepFramesNeeded. Sessions with the fewest spilled
+  // pages run first, so the group whose pages survived the last step runs
+  // before anything is evicted. Order and grouping change scheduling only,
+  // never a float. Every listed session must be prefilled and not done;
+  // sessions must be distinct.
   Status DecodeSessions(const std::vector<SessionId>& sids);
+
+  // Executor forwards DecodeSessions ran and the rows (sessions) they
+  // carried, cumulative over the TA's lifetime: rows / forwards is the
+  // decode batch the weights really streamed for.
+  struct DecodeStats {
+    uint64_t forwards = 0;
+    uint64_t rows = 0;
+  };
+  const DecodeStats& decode_stats() const { return decode_stats_; }
 
   // Advances one session by up to `max_steps` decode steps (capped by the
   // session's remaining token budget, EOS, and the context window). Runs
@@ -342,6 +357,7 @@ class LlmTa {
   // Serving-layer fault injection + recovery accounting (ISSUE 10).
   ServeFaultPlan serve_fault_plan_;
   KvRecoveryStats kv_recovery_stats_;
+  DecodeStats decode_stats_;
   uint64_t ckpt_saves_ = 0;  // ckpt_drop ordinal: session blobs sealed.
   uint64_t ckpt_drops_injected_ = 0;
 };

@@ -126,10 +126,11 @@ struct EngineOptions {
   // kResourceExhausted. 1 keeps the single-session footprint and the
   // legacy "exactly one open session" semantics.
   int max_sessions = 1;
-  // Sessions per batched decode step (one MatMatQ8 over all their current
-  // positions per layer, so weights stream once per step regardless of
-  // batch size). 0 = all running sessions in one batch. The scheduler
-  // splits larger running sets into groups of this size.
+  // Most sessions per decode forward (one MatMatQ8 over the group's
+  // current positions per layer, so the weights stream once per group).
+  // 0 = no cap. LlmTa::DecodeSessions splits a step into groups of at most
+  // this many; with paged_kv a group is also capped by the frames the pool
+  // can pin at once (distinct pages plus per-session append headroom).
   int decode_batch = 0;
   // Under-pressure eviction policy for the serving runtime's admission
   // queue.

@@ -197,6 +197,16 @@ Status KvCache::MakeWritable(size_t page_idx) {
   return OkStatus();
 }
 
+int KvCache::StepFramesNeeded() const {
+  if (pool_ == nullptr) {
+    return 0;
+  }
+  if (static_cast<int>(pages_.size()) * page_positions_ <= seq_len_) {
+    return 1;
+  }
+  return pool_->refcount(pages_[seq_len_ / page_positions_]) > 1 ? 1 : 0;
+}
+
 Result<KvCachePin> KvCache::PinForStep() {
   if (pool_ == nullptr) {
     return KvCachePin();  // Flat caches never move; a no-op handle.

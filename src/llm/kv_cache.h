@@ -166,6 +166,13 @@ class KvCache {
   // the arena's prefix registry.
   const std::vector<KvPageId>& pages() const { return pages_; }
   int PageCount() const { return static_cast<int>(pages_.size()); }
+  // Frames one decode step's append needs beyond the pages it pins: 1 when
+  // the append opens a page (EnsurePagesFor), else 1 when the tail page is
+  // shared and must be copied first (MakeWritable), else 0. An upper bound
+  // — a shared tail whose other holder copies first needs none — so a
+  // group's distinct pages plus the sum of this never undercounts. 0 in
+  // flat mode.
+  int StepFramesNeeded() const;
   // Maps `positions` prompt positions of an existing shared prefix into
   // this (empty) cache: references the pages and sets every layer's fill
   // mark, so prefill resumes at `positions` with the shared rows readable

@@ -218,6 +218,9 @@ Result<KvPageId> KvPagePool::Alloc(bool pinned) {
   p.frame = frame;
   p.refs = 1;
   p.pins = pinned ? 1 : 0;
+  if (pinned) {
+    NotePinned();
+  }
   p.lost = false;
   p.lru = ++lru_clock_;
   p.spill_seq = 0;
@@ -284,13 +287,15 @@ Status KvPagePool::EnsureResident(KvPageId id) {
 
 Status KvPagePool::Pin(KvPageId id) {
   TZLLM_RETURN_IF_ERROR(EnsureResident(id));
-  ++pages_[id].pins;
+  if (pages_[id].pins++ == 0) {
+    NotePinned();
+  }
   return OkStatus();
 }
 
 void KvPagePool::Unpin(KvPageId id) {
-  if (ValidLive(id) && pages_[id].pins > 0) {
-    --pages_[id].pins;
+  if (ValidLive(id) && pages_[id].pins > 0 && --pages_[id].pins == 0) {
+    --pinned_pages_;
   }
 }
 

@@ -29,6 +29,7 @@
 #ifndef SRC_LLM_KV_PAGE_POOL_H_
 #define SRC_LLM_KV_PAGE_POOL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -131,6 +132,11 @@ class KvPagePool {
   // nest.
   Status Pin(KvPageId id);
   void Unpin(KvPageId id);
+  // Pages holding at least one pin, and that count's high-water mark since
+  // the last ResetPinnedPeak(): the frames a step really held at once.
+  int pinned_pages() const { return pinned_pages_; }
+  int pinned_peak() const { return pinned_peak_; }
+  void ResetPinnedPeak() { pinned_peak_ = pinned_pages_; }
   // Recency bump (deterministic monotonic counter).
   void Touch(KvPageId id);
 
@@ -224,6 +230,7 @@ class KvPagePool {
   Result<int> TakeFrame();
   Status SpillPage(KvPageId id);
   Status RestorePage(KvPageId id);
+  void NotePinned() { pinned_peak_ = std::max(pinned_peak_, ++pinned_pages_); }
 
   int n_layers_;
   int kv_dim_;
@@ -243,6 +250,8 @@ class KvPagePool {
   std::vector<Page> pages_;
   std::vector<KvPageId> free_ids_;
   int spilled_pages_ = 0;
+  int pinned_pages_ = 0;
+  int pinned_peak_ = 0;
   uint64_t lru_clock_ = 0;   // Monotonic recency counter — never wall time.
   uint64_t spill_clock_ = 0;
   // Armed spill-fault window (ArmSpillFault): ordinal is stats_.spills.

@@ -298,8 +298,12 @@ Result<bool> ServingRuntime::Tick() {
   }
   if (!running.empty()) {
     const double before = Now();
+    const LlmTa::DecodeStats decode_before = ta_->decode_stats();
     TZLLM_RETURN_IF_ERROR(ta_->DecodeSessions(running));
     const double now = Now();
+    stats_.decode_forwards += ta_->decode_stats().forwards -
+                              decode_before.forwards;
+    stats_.decode_rows += ta_->decode_stats().rows - decode_before.rows;
     for (Request* r : running_reqs) {
       r->token_s.push_back(now);
     }

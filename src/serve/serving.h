@@ -20,10 +20,12 @@
 //      incoming prompt interleaves with everyone else's decode instead of
 //      blocking the TA for its whole prefill.
 //   3. One batched decode step — every running session advances one token
-//      through LlmTa::DecodeSessions: per layer one MatMatQ8 across all
+//      through LlmTa::DecodeSessions: per layer one MatMatQ8 across the
 //      sessions' current positions, so the weights stream through the cache
-//      once per step regardless of how many sessions ride it. Per-session
-//      logits are bit-identical to stepping that session alone.
+//      once per forward regardless of how many sessions ride it (a paged
+//      pool too small to pin every session at once splits the step into
+//      several forwards). Per-session logits are bit-identical to stepping
+//      that session alone.
 //   4. Retirement — sessions that hit EOS / budget / context window are
 //      finished and their slots freed.
 //
@@ -104,6 +106,13 @@ struct ServeStats {
   // is directly comparable across batch sizes (prefill cost is a latency
   // question and shows up in TTFT, not here).
   double decode_time_s = 0.0;
+  // Executor forwards those steps ran and the rows they carried
+  // (LlmTa::DecodeStats over this runtime's ticks). decode_rows /
+  // decode_forwards is the batch the weights really streamed for: a tick
+  // whose sessions do not fit the KV page pool at once runs as several
+  // smaller forwards.
+  uint64_t decode_forwards = 0;
+  uint64_t decode_rows = 0;
   int preemptions = 0;
   // Paged-KV counters, snapshotted from the TA's page pool and prefix
   // registry each tick (all zero when paged_kv is off). Under paging the
