@@ -640,8 +640,10 @@ Status LlmTa::DecodeSessions(const std::vector<SessionId>& sids) {
   if (sids.empty()) {
     return OkStatus();
   }
-  std::vector<Session*> batch;
-  batch.reserve(sids.size());
+  // (spilled pages, session) per listed session, for the order below.
+  KvPagePool* pool = kv_arena_->pool();
+  std::vector<std::pair<int, Session*>> order;
+  order.reserve(sids.size());
   std::set<SessionId> seen;
   for (SessionId sid : sids) {
     Session* s = FindSession(sid);
@@ -658,22 +660,16 @@ Status LlmTa::DecodeSessions(const std::vector<SessionId>& sids) {
     if (!seen.insert(sid).second) {
       return InvalidArgument("decode batch lists a session twice");
     }
-    batch.push_back(s);
-  }
-  // Resident sessions first (stable, so ties keep the caller's order): the
-  // group whose pages survived the last step runs before anything is
-  // evicted, instead of two groups evicting each other every step. Flat
-  // caches have no pages, so this is a no-op there.
-  KvPagePool* pool = kv_arena_->pool();
-  std::vector<std::pair<int, Session*>> order;
-  order.reserve(batch.size());
-  for (Session* s : batch) {
     int spilled = 0;
     for (KvPageId id : kv_arena_->cache(s->slot)->pages()) {
       spilled += pool->resident(id) ? 0 : 1;
     }
     order.emplace_back(spilled, s);
   }
+  // Resident sessions first (stable, so ties keep the caller's order): the
+  // group whose pages survived the last step runs before anything is
+  // evicted, instead of two groups evicting each other every step. Flat
+  // caches have no pages, so this is a no-op there.
   std::stable_sort(order.begin(), order.end(),
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;

@@ -132,9 +132,8 @@ class KvPagePool {
   // nest.
   Status Pin(KvPageId id);
   void Unpin(KvPageId id);
-  // Pages holding at least one pin, and that count's high-water mark since
-  // the last ResetPinnedPeak(): the frames a step really held at once.
-  int pinned_pages() const { return pinned_pages_; }
+  // High-water mark, since the last ResetPinnedPeak(), of the pages holding
+  // at least one pin: the frames a step really held at once.
   int pinned_peak() const { return pinned_peak_; }
   void ResetPinnedPeak() { pinned_peak_ = pinned_pages_; }
   // Recency bump (deterministic monotonic counter).

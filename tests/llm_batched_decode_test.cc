@@ -127,12 +127,11 @@ std::vector<GenerationResult> ConcurrentRun(
 
 // Prompts() on one TA over the flat KV arena.
 std::vector<GenerationResult> ConcurrentRun(int n_threads, bool force_scalar,
-                                            int decode_batch,
-                                            bool reversed = false) {
+                                            int decode_batch) {
   RuntimeConfig config =
       Config(static_cast<int>(Prompts().size()), n_threads, force_scalar);
   config.engine.decode_batch = decode_batch;
-  return ConcurrentRun(config, Prompts(), reversed, nullptr);
+  return ConcurrentRun(config, Prompts(), /*reversed=*/false, nullptr);
 }
 
 void ExpectIdentical(const std::vector<GenerationResult>& solo,
@@ -226,15 +225,6 @@ TEST(BatchedDecodeTest, ArenaExhaustionIsResourceExhausted) {
   EXPECT_TRUE(c.ok()) << c.status().ToString();
 }
 
-TEST(BatchedDecodeTest, PermutedSessionOrderDoesNotChangeTokens) {
-  // DecodeSessions reorders and regroups sessions (resident first, frame-
-  // capped groups); the caller's order must not reach a single token.
-  const auto forward = ConcurrentRun(1, false, /*decode_batch=*/2);
-  const auto reversed =
-      ConcurrentRun(1, false, /*decode_batch=*/2, /*reversed=*/true);
-  ExpectIdentical(forward, reversed);
-}
-
 // --- Paged KV: frame-capped decode groups. ----------------------------------
 
 constexpr int kPagePositions = 8;
@@ -280,6 +270,8 @@ TEST(PagedBatchedDecodeTest, SharedPrefixSessionsShareForwardsUnderPressure) {
 }
 
 TEST(PagedBatchedDecodeTest, PermutedOrderUnderPressureKeepsTokens) {
+  // DecodeSessions reorders (resident first) and regroups (frame-capped)
+  // the sessions it is given; the caller's order must not reach a token.
   const RuntimeConfig config = PagedConfig(/*frames=*/8);
   RuntimeConfig flat = config;
   flat.engine.paged_kv = false;
